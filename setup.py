@@ -3,7 +3,8 @@
 The execution environment has no network access and an older setuptools
 without the ``bdist_wheel``-based editable-install path, so a classic
 ``setup.py`` is provided to make ``pip install -e . --no-build-isolation
---no-use-pep517`` work offline.  All real metadata lives in ``pyproject.toml``.
+--no-use-pep517`` work offline.  This file is the package's only metadata;
+there is no ``pyproject.toml``.
 """
 
 from setuptools import find_packages, setup

@@ -4,7 +4,8 @@ Every entry point -- the CLI, the experiment grids, the benchmarks, user
 code -- goes through :meth:`Session.run`, so construction order, seeding
 and component building are identical everywhere; a benign synchronous
 :class:`~repro.api.RunSpec` produces bit-identical metrics to constructing
-:class:`~repro.training.trainer.DistributedTrainer` by hand.
+:class:`~repro.training.trainer.DistributedTrainer` from the resolved spec
+by hand.
 """
 
 from __future__ import annotations
@@ -151,12 +152,7 @@ class Session:
             resolved.compression.density,
             **resolved.compression.kwargs,
         )
-        trainer = DistributedTrainer(
-            task,
-            sparsifier,
-            resolved.to_training_config(),
-            run_name=run_name or resolved.run_name,
-        )
+        trainer = DistributedTrainer(task, sparsifier, resolved, run_name=run_name)
         if hooks:
             for event, handlers in hooks.items():
                 if callable(handlers):

@@ -10,8 +10,8 @@
 
 Both implement the :class:`~repro.comm.backend.CollectiveBackend`
 metering interface, so traffic accounting, topology pricing and the run
-ledger are backend-agnostic.  Select one with ``TrainingConfig.backend``
-/ ``ExecutionSpec.backend`` / ``repro train --backend``.
+ledger are backend-agnostic.  Select one with ``ExecutionSpec.backend``
+/ ``repro train --backend``.
 """
 
 from repro.backends.multiprocess import MultiprocessBackend

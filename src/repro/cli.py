@@ -46,20 +46,8 @@ from collections import OrderedDict
 from typing import Dict, List, Mapping, Optional
 
 from repro import api
-from repro.api.spec import (
-    ClusterSpec,
-    CompressionSpec,
-    ExecutionSpec,
-    OptimizerSpec,
-    RobustnessSpec,
-    RunSpec,
-)
-from repro.observability import (
-    LiveMonitor,
-    ObservabilitySpec,
-    RunLedger,
-    render_openmetrics,
-)
+from repro.api.spec import RunSpec, add_spec_arguments, spec_fields
+from repro.observability import LiveMonitor, RunLedger, render_openmetrics
 from repro.observability import regress
 from repro.execution import STRAGGLER_PROFILES
 from repro.utils.logging import ScalarSeries
@@ -104,18 +92,6 @@ EXPERIMENTS: Dict[str, tuple] = {
 }
 
 
-class _KeyValue(argparse.Action):
-    """Collect repeated ``key=value`` options into a dict."""
-
-    def __call__(self, parser, namespace, value, option_string=None):
-        key, sep, raw = value.partition("=")
-        if not sep or not key:
-            parser.error(f"{option_string} expects key=value, got {value!r}")
-        store = getattr(namespace, self.dest) or {}
-        store[key] = raw
-        setattr(namespace, self.dest, store)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -138,99 +114,12 @@ def _build_parser() -> argparse.ArgumentParser:
             help="train one (workload, sparsifier) pair"
             + (" (alias of train)" if alias == "run" else ""),
         )
-        train.add_argument("--workload", choices=sorted(expcfg.PAPER_WORKLOADS), default=expcfg.LM)
-        train.add_argument("--scale", choices=("smoke", "repro"), default="smoke")
-        train.add_argument("--seed", type=int, default=0)
-        train.add_argument("--run-name", default=None, help="override the logged run name")
-        # Cluster.
-        train.add_argument("--workers", type=int, default=4)
-        train.add_argument("--straggler-profile", choices=STRAGGLER_PROFILES,
-                           default="uniform",
-                           help="worker compute-speed profile for the virtual clock")
-        train.add_argument("--base-compute-seconds", type=float, default=0.02,
-                           help="modelled compute seconds of one nominal mini-batch")
-        train.add_argument("--topology", default=None, metavar="SPEC",
-                           help="interconnect topology: flat (default), ring, star, "
-                                "tree[:branching], fat_node:<nodes>x<gpus> "
-                                "(gossip defaults to ring); collectives scale their "
-                                "latency with the graph diameter, server and "
-                                "neighbour traffic is routed over real paths")
-        train.add_argument("--server-rank", type=int, default=None,
-                           help="worker rank hosting the parameter server "
-                                "(required by async_bsp/elastic on graph "
-                                "topologies; push/pull is priced over "
-                                "path_hops(rank, server_rank))")
-        # Optimizer / budget.
-        train.add_argument("--lr", type=float, default=None,
-                           help="learning rate (default: the workload preset)")
-        train.add_argument("--momentum", type=float, default=0.0)
-        train.add_argument("--weight-decay", type=float, default=0.0)
-        train.add_argument("--batch-size", type=int, default=None)
-        train.add_argument("--epochs", type=int, default=None)
-        train.add_argument("--max-iterations-per-epoch", type=int, default=None)
-        train.add_argument("--no-eval-each-epoch", action="store_false",
-                           dest="evaluate_each_epoch",
-                           help="skip the per-epoch task-metric evaluation")
-        # Compression.
-        train.add_argument("--sparsifier", choices=available_components("sparsifier"),
-                           default="deft")
-        train.add_argument("--density", type=float, default=None)
-        train.add_argument("--sparsifier-arg", action=_KeyValue, dest="sparsifier_kwargs",
-                           metavar="KEY=VALUE", default=None,
-                           help="extra sparsifier kwarg (repeatable; see "
-                                "`repro describe sparsifier/<name>`)")
+        # One flag per run field, read off the spec's own declarations.
+        add_spec_arguments(train)
         train.add_argument("--robust-norms", action="store_true",
                            help="shorthand for --sparsifier-arg robust_norms=true "
                                 "(DEFT: assign k from the median of all workers' "
                                 "layer norms)")
-        # Robustness.
-        train.add_argument("--aggregator", choices=available_components("aggregator"),
-                           default=None,
-                           help="aggregation rule for the per-worker contributions "
-                                "(default: the execution model's declared default -- "
-                                "mean, or staleness_weighted_mean under async_bsp; "
-                                "an explicit choice is always honoured)")
-        train.add_argument("--aggregator-arg", action=_KeyValue, dest="aggregator_kwargs",
-                           metavar="KEY=VALUE", default=None,
-                           help="extra aggregator kwarg (repeatable)")
-        train.add_argument("--attack", choices=available_components("attack"),
-                           default="none",
-                           help="attack corrupting the Byzantine workers")
-        train.add_argument("--attack-arg", action=_KeyValue, dest="attack_kwargs",
-                           metavar="KEY=VALUE", default=None,
-                           help="extra attack kwarg (repeatable)")
-        train.add_argument("--n-byzantine", type=int, default=0,
-                           help="number of Byzantine worker ranks (the last ranks)")
-        # Execution.
-        train.add_argument("--execution", choices=available_components("execution"),
-                           default="synchronous",
-                           help="execution schedule driving the training loop")
-        train.add_argument("--execution-arg", action=_KeyValue, dest="execution_kwargs",
-                           metavar="KEY=VALUE", default=None,
-                           help="extra execution-model kwarg (repeatable)")
-        train.add_argument("--local-steps", type=int, default=4,
-                           help="local steps between averaging rounds (local_sgd/elastic)")
-        train.add_argument("--max-staleness", type=int, default=4,
-                           help="bounded-staleness window of async_bsp (0 = lock step)")
-        train.add_argument("--backend", choices=available_components("backend"),
-                           default="simulated",
-                           help="collective backend: 'simulated' runs every worker "
-                                "in-process (the deterministic oracle); "
-                                "'multiprocess' runs real OS processes exchanging "
-                                "tensors through shared memory -- bit-identical "
-                                "on lock-step schedules")
-        train.add_argument("--procs", type=int, default=None,
-                           help="worker-process count for --backend multiprocess "
-                                "(default: min(n_workers, cpu_count))")
-        # Observability.
-        train.add_argument("--trace", nargs="?", const="", default=None,
-                           metavar="OUT.json",
-                           help="record per-worker per-iteration spans; with a "
-                                "path, write a Chrome trace-event JSON openable "
-                                "in Perfetto (ui.perfetto.dev) or chrome://tracing")
-        train.add_argument("--observe-metrics", action="store_true",
-                           help="record counters/gauges/histograms over the run "
-                                "and print the snapshot summary")
         train.add_argument("--metrics-out", default=None, metavar="OUT.prom",
                            help="write the run's metrics snapshot in the "
                                 "OpenMetrics/Prometheus text format "
@@ -365,73 +254,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------- #
-def _coerced_kwargs(kind: str, name: str, raw: Optional[Dict[str, str]]) -> Dict:
-    """Type-coerce CLI ``key=value`` strings against the registered schema."""
-    if not raw:
-        return {}
-    return get_component(kind, name).coerce_kwargs(raw)
-
-
 def _spec_from_args(args) -> RunSpec:
-    """Assemble the layered RunSpec a parsed ``train`` namespace describes."""
-    sparsifier_kwargs = _coerced_kwargs("sparsifier", args.sparsifier, args.sparsifier_kwargs)
+    """Assemble the RunSpec a parsed ``train`` namespace describes."""
+    flat = {f.flat: getattr(args, f.flat) for f in spec_fields()}
+    names = {kind: flat[kind] for kind in ("sparsifier", "attack", "execution")}
+    # Unset --aggregator resolves to the execution model's declared
+    # default, so kwargs must be coerced against that same rule's schema
+    # (e.g. gamma= under async_bsp).
+    names["aggregator"] = flat["aggregator"] or default_aggregator_for(flat["execution"])
+    for kind, name in names.items():
+        # Raw ``key=value`` strings, coerced against the registered schema.
+        raw = flat[f"{kind}_kwargs"]
+        flat[f"{kind}_kwargs"] = get_component(kind, name).coerce_kwargs(raw) if raw else {}
     if args.robust_norms:
-        sparsifier_kwargs["robust_norms"] = True
-    return RunSpec(
-        workload=args.workload,
-        scale=args.scale,
-        seed=args.seed,
-        run_name=args.run_name,
-        cluster=ClusterSpec(
-            n_workers=args.workers,
-            straggler_profile=args.straggler_profile,
-            base_compute_seconds=args.base_compute_seconds,
-            topology=args.topology,
-            server_rank=args.server_rank,
-        ),
-        optimizer=OptimizerSpec(
-            lr=args.lr,
-            momentum=args.momentum,
-            weight_decay=args.weight_decay,
-            batch_size=args.batch_size,
-            epochs=args.epochs,
-            max_iterations_per_epoch=args.max_iterations_per_epoch,
-            evaluate_each_epoch=args.evaluate_each_epoch,
-        ),
-        compression=CompressionSpec(
-            sparsifier=args.sparsifier,
-            density=args.density,
-            kwargs=sparsifier_kwargs,
-        ),
-        robustness=RobustnessSpec(
-            aggregator=args.aggregator,
-            aggregator_kwargs=_coerced_kwargs(
-                "aggregator",
-                # Unset --aggregator resolves to the execution model's
-                # declared default, so kwargs must be coerced against that
-                # same rule's schema (e.g. gamma= under async_bsp).
-                args.aggregator
-                if args.aggregator is not None
-                else default_aggregator_for(args.execution),
-                args.aggregator_kwargs,
-            ),
-            attack=args.attack,
-            attack_kwargs=_coerced_kwargs("attack", args.attack, args.attack_kwargs),
-            n_byzantine=args.n_byzantine,
-        ),
-        execution=ExecutionSpec(
-            model=args.execution,
-            local_steps=args.local_steps,
-            max_staleness=args.max_staleness,
-            backend=args.backend,
-            procs=args.procs,
-            kwargs=_coerced_kwargs("execution", args.execution, args.execution_kwargs),
-        ),
-        observability=ObservabilitySpec(
-            trace=args.trace is not None,
-            metrics=args.observe_metrics or args.metrics_out is not None,
-        ),
-    )
+        flat["sparsifier_kwargs"]["robust_norms"] = True
+    flat["trace"] = args.trace is not None
+    flat["metrics"] = args.metrics or args.metrics_out is not None
+    return RunSpec.from_flat(**flat)
 
 
 def spec_from_argv(argv: List[str]) -> RunSpec:
@@ -547,7 +386,7 @@ def _command_train(args) -> int:
     if args.backend != "simulated":
         procs_note = "" if args.procs is None else f", procs={args.procs}"
         scenario += f" [backend={args.backend}{procs_note}]"
-    print(f"Trained {args.workload} with {args.sparsifier} on {args.workers} simulated workers{scenario}")
+    print(f"Trained {args.workload} with {args.sparsifier} on {args.n_workers} simulated workers{scenario}")
     for key, value in sorted(result.final_metrics.items()):
         print(f"  final {key}: {value:.4f}")
     print(f"  mean actual density: {result.mean_density():.4f}")

@@ -26,8 +26,9 @@ Rules
     ``MultiprocessBackend`` implementation with identical traffic-meter
     emissions.
 ``api-drift``
-    CLI flags, spec fields and ``tests/fixtures/api_surface.json`` stay
-    in sync.
+    ``RunSpec.to_argv`` round-trips through the train parser (whose spec
+    flags are generated from the spec fields) and the live API surface
+    matches ``tests/fixtures/api_surface.json``.
 
 Findings are suppressed with ``# repro: <directive>(<reason>)`` pragmas
 on the offending line or the comment line directly above it; see

@@ -1,116 +1,26 @@
 """API-drift check (rule ``api-drift``).
 
-Three surfaces describe the same runs -- ``RunSpec`` dataclass fields,
-``repro train`` CLI flags and the committed API snapshot
-(``tests/fixtures/api_surface.json``) -- and they drift independently:
-a new spec field without a flag is unreachable from the CLI, a new flag
-without a field never survives spec round-trips, and a silently mutated
-component inventory invalidates downstream consumers of ``repro list
---json``.
-
-The rule holds an explicit field-to-flag map (``_FIELD_FLAGS``) so every
-addition to a spec section forces a conscious decision here, checks that
-every mapped flag exists on the train parser (and every train flag is
-either mapped or a declared output-control flag), verifies
-``RunSpec.to_argv()`` round-trips through ``spec_from_argv``, and diffs
-the live ``repro.api.__all__`` / component inventory against the
-fixture snapshot.
+Run fields are declared once, in the ``repro.api.spec`` dataclasses, and
+the ``repro train`` flags are generated from those declarations, so a field
+and its flag cannot drift apart.  What can still drift is checked here:
+``RunSpec.to_argv()`` must round-trip through ``spec_from_argv`` (the
+parser's hand-written additions must not shadow or break a generated
+flag), and the live ``repro.api.__all__`` / component inventory must match
+the committed snapshot (``tests/fixtures/api_surface.json``) that
+downstream consumers of ``repro list --json`` rely on.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.devtools.core import Finding
 
 __all__ = ["check_api_drift"]
 
-_SELF = "src/repro/devtools/api_drift.py"
 _SPEC_FILE = "src/repro/api/spec.py"
-_CLI_FILE = "src/repro/cli.py"
 _FIXTURE_REL = "tests/fixtures/api_surface.json"
-
-#: Spec field -> train CLI flag, per section dataclass.  Sub-spec fields
-#: of ``RunSpec`` itself (cluster, optimizer, ...) recurse into their own
-#: tables instead of mapping to flags.
-_FIELD_FLAGS: Dict[str, Dict[str, Optional[str]]] = {
-    "RunSpec": {
-        "workload": "--workload",
-        "scale": "--scale",
-        "seed": "--seed",
-        "run_name": "--run-name",
-        "cluster": None,
-        "optimizer": None,
-        "compression": None,
-        "robustness": None,
-        "execution": None,
-        "observability": None,
-    },
-    "ClusterSpec": {
-        "n_workers": "--workers",
-        "straggler_profile": "--straggler-profile",
-        "base_compute_seconds": "--base-compute-seconds",
-        "topology": "--topology",
-        "server_rank": "--server-rank",
-    },
-    "OptimizerSpec": {
-        "lr": "--lr",
-        "momentum": "--momentum",
-        "weight_decay": "--weight-decay",
-        "batch_size": "--batch-size",
-        "epochs": "--epochs",
-        "max_iterations_per_epoch": "--max-iterations-per-epoch",
-        "evaluate_each_epoch": "--no-eval-each-epoch",
-    },
-    "CompressionSpec": {
-        "sparsifier": "--sparsifier",
-        "density": "--density",
-        "kwargs": "--sparsifier-arg",
-    },
-    "RobustnessSpec": {
-        "aggregator": "--aggregator",
-        "aggregator_kwargs": "--aggregator-arg",
-        "attack": "--attack",
-        "attack_kwargs": "--attack-arg",
-        "n_byzantine": "--n-byzantine",
-    },
-    "ExecutionSpec": {
-        "model": "--execution",
-        "local_steps": "--local-steps",
-        "max_staleness": "--max-staleness",
-        "backend": "--backend",
-        "procs": "--procs",
-        "kwargs": "--execution-arg",
-    },
-    "ObservabilitySpec": {
-        "trace": "--trace",
-        "metrics": "--observe-metrics",
-    },
-}
-
-#: Train flags that deliberately have no spec field: output routing and
-#: kwargs sugar, all orthogonal to what the run computes.
-_NON_SPEC_FLAGS = {
-    "-h",
-    "--help",
-    "--ledger",
-    "--metrics-out",
-    "--monitor",
-    "--robust-norms",  # sugar for --sparsifier-arg robust_norms=true
-}
-
-
-def _train_parser():
-    from repro.cli import _build_parser
-
-    parser = _build_parser()
-    for action in parser._actions:  # argparse keeps subparsers in _actions
-        if hasattr(action, "choices") and isinstance(action.choices, dict):
-            train = action.choices.get("train")
-            if train is not None:
-                return train
-    return None
 
 
 def _fixture_path() -> Path:
@@ -120,78 +30,14 @@ def _fixture_path() -> Path:
 
 
 def check_api_drift(fixture_path: Optional[Path] = None) -> List[Finding]:
-    import dataclasses
     import json
 
     import repro.api as api
-    from repro.api import spec as spec_module
     from repro.cli import spec_from_argv
     from repro.plugins.registry import component_inventory, load_builtin_components
 
     findings: List[Finding] = []
     load_builtin_components()
-
-    # -- spec fields <-> the drift map ---------------------------------- #
-    for cls_name, table in _FIELD_FLAGS.items():
-        cls = getattr(spec_module, cls_name, None)
-        if cls is None:
-            findings.append(
-                Finding(
-                    _SELF, 1, "api-drift",
-                    f"drift map covers {cls_name} but repro.api.spec no longer "
-                    "defines it; update _FIELD_FLAGS",
-                )
-            )
-            continue
-        fields = {f.name for f in dataclasses.fields(cls)}
-        for name in sorted(fields - set(table)):
-            findings.append(
-                Finding(
-                    _SPEC_FILE, 1, "api-drift",
-                    f"{cls_name}.{name} has no entry in the CLI drift map; add "
-                    "the flag to 'repro train' and record it in "
-                    "devtools/api_drift.py",
-                )
-            )
-        for name in sorted(set(table) - fields):
-            findings.append(
-                Finding(
-                    _SELF, 1, "api-drift",
-                    f"drift map lists {cls_name}.{name} but the dataclass has "
-                    "no such field; remove the stale entry",
-                )
-            )
-
-    # -- drift map <-> the live train parser ---------------------------- #
-    train = _train_parser()
-    if train is None:
-        findings.append(
-            Finding(_CLI_FILE, 1, "api-drift", "no 'train' subparser found")
-        )
-    else:
-        option_strings = {
-            opt for action in train._actions for opt in action.option_strings
-        }
-        mapped = {
-            flag for table in _FIELD_FLAGS.values() for flag in table.values() if flag
-        }
-        for flag in sorted(mapped - option_strings):
-            findings.append(
-                Finding(
-                    _CLI_FILE, 1, "api-drift",
-                    f"spec field maps to {flag} but 'repro train' does not "
-                    "accept it",
-                )
-            )
-        for flag in sorted(option_strings - mapped - _NON_SPEC_FLAGS):
-            findings.append(
-                Finding(
-                    _CLI_FILE, 1, "api-drift",
-                    f"'repro train' flag {flag} corresponds to no spec field; "
-                    "map it in devtools/api_drift.py or list it as an "
-                    "output-control flag",
-                )
-            )
 
     # -- to_argv round-trip --------------------------------------------- #
     try:

@@ -76,7 +76,7 @@ class AsyncBSPExecution(ExecutionModel):
         trainer = self._require_trainer()
         last_summary: Dict[str, float] = {}
         server_params = flatten_parameters(trainer.model)
-        for epoch in range(trainer.config.epochs):
+        for epoch in range(trainer.spec.optimizer.epochs):
             server_params, epoch_metrics = self._run_epoch(trainer, server_params)
             load_flat_parameters(trainer.model, server_params)
             last_summary = trainer.log_epoch_summary(epoch, epoch_metrics)
@@ -84,7 +84,7 @@ class AsyncBSPExecution(ExecutionModel):
 
     # ------------------------------------------------------------------ #
     def _run_epoch(self, trainer, server_params: np.ndarray):
-        n_workers = trainer.config.n_workers
+        n_workers = trainer.n_workers
         budget = trainer.epoch_iteration_budget() * n_workers
         iterators = [iter(loader) for loader in trainer.loaders]
 
@@ -154,7 +154,7 @@ class AsyncBSPExecution(ExecutionModel):
         round_time: float,
         next_done: np.ndarray,
     ) -> Dict[str, float]:
-        n_workers = trainer.config.n_workers
+        n_workers = trainer.n_workers
         lr = trainer.schedule.lr_at(trainer.iteration)
         ages = np.array([version - base_version[r] for r in arrived], dtype=np.float64)
         trace = trainer.obs.trace_enabled
@@ -226,7 +226,7 @@ class AsyncBSPExecution(ExecutionModel):
         # where workers transmit union-sized value vectors), so each push
         # is priced as the worker's own indices plus union-sized values --
         # not just its own selection.  The pull returns dense parameters.
-        server = trainer.config.server_rank
+        server = trainer.spec.cluster.server_rank
         server_label = "server" if server is None else int(server)
         push_events = trainer.obs.events.has_subscribers("push")
         pull_events = trainer.obs.events.has_subscribers("pull")

@@ -75,7 +75,7 @@ class ExecutionModel:
         self._post_bind()
 
     def _post_bind(self) -> None:
-        """Hook for subclasses validating their knobs against the config."""
+        """Hook for subclasses validating their knobs against the trainer's spec."""
 
     def _require_trainer(self):
         if self.trainer is None:

@@ -48,7 +48,7 @@ class ElasticAveragingExecution(ExecutionModel):
     def _post_bind(self) -> None:
         if self.elastic_alpha is None:
             # The EASGD paper's stability choice: beta/n with beta = 0.9.
-            self.elastic_alpha = 0.9 / self.trainer.config.n_workers
+            self.elastic_alpha = 0.9 / self.trainer.n_workers
         # The elastic exchange updates the center directly (never through
         # the optimizer) and carries parameters, not gradients -- so
         # momentum/weight_decay and accumulator-level attacks would be
@@ -61,8 +61,8 @@ class ElasticAveragingExecution(ExecutionModel):
 
         check_execution_supports_optimizer(
             self.name,
-            momentum=self.trainer.config.momentum,
-            weight_decay=self.trainer.config.weight_decay,
+            momentum=self.trainer.spec.optimizer.momentum,
+            weight_decay=self.trainer.spec.optimizer.weight_decay,
         )
         adversary = self.trainer.adversary
         check_execution_supports_attack(
@@ -76,12 +76,12 @@ class ElasticAveragingExecution(ExecutionModel):
     # ------------------------------------------------------------------ #
     def run(self) -> Dict[str, float]:
         trainer = self._require_trainer()
-        n_workers = trainer.config.n_workers
+        n_workers = trainer.n_workers
         center = flatten_parameters(trainer.model)
         local_params = [center.copy() for _ in range(n_workers)]
 
         last_summary: Dict[str, float] = {}
-        for epoch in range(trainer.config.epochs):
+        for epoch in range(trainer.spec.optimizer.epochs):
             iterators = [iter(loader) for loader in trainer.loaders]
             n_iterations = trainer.epoch_iteration_budget()
             epoch_metrics: List[Dict[str, float]] = []
@@ -105,7 +105,7 @@ class ElasticAveragingExecution(ExecutionModel):
         center: np.ndarray,
         sync_now: bool,
     ) -> Dict[str, float]:
-        n_workers = trainer.config.n_workers
+        n_workers = trainer.n_workers
         alpha = float(self.elastic_alpha)
         losses = np.zeros(n_workers)
 
@@ -135,7 +135,7 @@ class ElasticAveragingExecution(ExecutionModel):
         comm_elements = 0.0
         spread = 0.0
         if sync_now:
-            server = trainer.config.server_rank
+            server = trainer.spec.cluster.server_rank
             server_label = "server" if server is None else int(server)
             push_events = trainer.obs.events.has_subscribers("push")
             pull_events = trainer.obs.events.has_subscribers("pull")

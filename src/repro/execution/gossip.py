@@ -19,7 +19,7 @@ busiest worker's inbound message time: edges are disjoint links, so
 neighbour exchanges overlap and the round ends when the most-connected
 worker has drained its inbox.
 
-The topology comes from ``TrainingConfig.topology``; when none is
+The topology comes from ``ClusterSpec.topology``; when none is
 configured the schedule's declared ``default_topology`` (``ring``) is
 used.  Evaluation and the epoch summary use the consensus average of the
 local parameter copies, mirroring how decentralised training is evaluated
@@ -54,20 +54,22 @@ class GossipExecution(ExecutionModel):
             check_execution_uses_aggregator,
         )
 
-        config = self.trainer.config
+        spec = self.trainer.spec
         check_execution_supports_topology(
             self.name,
-            topology=config.topology,
-            server_rank=config.server_rank,
-            n_workers=config.n_workers,
+            topology=spec.cluster.topology,
+            server_rank=spec.cluster.server_rank,
+            n_workers=spec.cluster.n_workers,
         )
         # The neighbourhood average is hard-coded (see module docstring);
         # a configured robust rule would be silently ignored.
-        check_execution_uses_aggregator(self.name, config.aggregator)
+        check_execution_uses_aggregator(self.name, spec.robustness.aggregator)
         # The averaged delta is applied to the local copies directly, never
         # through the trainer's optimizer.
         check_execution_supports_optimizer(
-            self.name, momentum=config.momentum, weight_decay=config.weight_decay
+            self.name,
+            momentum=spec.optimizer.momentum,
+            weight_decay=spec.optimizer.weight_decay,
         )
         adversary = self.trainer.adversary
         check_execution_supports_attack(
@@ -81,18 +83,18 @@ class GossipExecution(ExecutionModel):
             raise ValueError("gossip requires a neighbour topology")
         self._neighbors = {
             rank: self.trainer.topology.neighbors(rank)
-            for rank in range(config.n_workers)
+            for rank in range(spec.cluster.n_workers)
         }
 
     # ------------------------------------------------------------------ #
     def run(self) -> Dict[str, float]:
         trainer = self._require_trainer()
-        n_workers = trainer.config.n_workers
+        n_workers = trainer.n_workers
         reference = flatten_parameters(trainer.model)
         local_params = [reference.copy() for _ in range(n_workers)]
 
         last_summary: Dict[str, float] = {}
-        for epoch in range(trainer.config.epochs):
+        for epoch in range(trainer.spec.optimizer.epochs):
             iterators = [iter(loader) for loader in trainer.loaders]
             n_iterations = trainer.epoch_iteration_budget()
             epoch_metrics: List[Dict[str, float]] = []
@@ -113,7 +115,7 @@ class GossipExecution(ExecutionModel):
         lr: float,
         local_params: List[np.ndarray],
     ) -> Dict[str, float]:
-        n_workers = trainer.config.n_workers
+        n_workers = trainer.n_workers
         losses = np.zeros(n_workers)
 
         # 1-2. Local gradients on each worker's own parameters, accumulated

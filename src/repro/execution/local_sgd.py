@@ -17,7 +17,7 @@ still advances in lock step) but the communication term is paid only every
 ``local_steps`` rounds, so the schedule trades staleness for a smaller
 communication share.
 
-The local steps are plain SGD; ``TrainingConfig.momentum`` and
+The local steps are plain SGD; ``OptimizerSpec.momentum`` and
 ``weight_decay`` apply at the *sync point* through the trainer's optimizer
 (i.e. to the aggregated H-step delta, SlowMo-style server momentum), not
 to each local step.
@@ -52,12 +52,12 @@ class LocalSGDExecution(ExecutionModel):
     # ------------------------------------------------------------------ #
     def run(self) -> Dict[str, float]:
         trainer = self._require_trainer()
-        n_workers = trainer.config.n_workers
+        n_workers = trainer.n_workers
         reference = flatten_parameters(trainer.model)
         local_params = [reference.copy() for _ in range(n_workers)]
 
         last_summary: Dict[str, float] = {}
-        for epoch in range(trainer.config.epochs):
+        for epoch in range(trainer.spec.optimizer.epochs):
             iterators = [iter(loader) for loader in trainer.loaders]
             n_iterations = trainer.epoch_iteration_budget()
             epoch_metrics: List[Dict[str, float]] = []
@@ -85,7 +85,7 @@ class LocalSGDExecution(ExecutionModel):
         reference: np.ndarray,
         sync_now: bool,
     ) -> Dict[str, float]:
-        n_workers = trainer.config.n_workers
+        n_workers = trainer.n_workers
         losses = np.zeros(n_workers)
 
         if trainer.adversary.corrupts_data:

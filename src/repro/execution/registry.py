@@ -107,7 +107,7 @@ def build_execution_model(name: str, **kwargs) -> ExecutionModel:
     kwargs:
         The uniform knob set (``local_steps``, ``max_staleness``, ...); each
         model picks out the knobs it understands and ignores the rest, so
-        callers can pass the whole :class:`TrainingConfig`-derived set.
+        callers can pass the whole :class:`~repro.api.ExecutionSpec` set.
     """
     return build_component(KIND, name, **kwargs)
 

@@ -7,7 +7,7 @@ than the rest).  The execution models price their schedules against a
 *virtual clock*: every worker has a deterministic speed factor drawn from a
 named profile, the modelled compute time of one batch is
 ``base_compute_seconds * factor``, and communication is added from the
-alpha-beta model.  Everything is derived from ``TrainingConfig.seed`` via
+alpha-beta model.  Everything is derived from ``RunSpec.seed`` via
 :class:`~repro.utils.seeding.SeedSequenceFactory`, so two runs with the same
 seed see identical stragglers.
 """

@@ -30,6 +30,6 @@ class SynchronousExecution(ExecutionModel):
     def run(self) -> Dict[str, float]:
         trainer = self._require_trainer()
         last_summary: Dict[str, float] = {}
-        for epoch in range(trainer.config.epochs):
+        for epoch in range(trainer.spec.optimizer.epochs):
             last_summary = trainer.train_epoch(epoch)
         return last_summary

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.api import RunSpec
 from repro.experiments import config as expcfg
-from repro.experiments.runner import build_run_spec
 from repro.sweep import ResultCache, run_sweep, spec_refusal
 
 __all__ = [
@@ -107,9 +107,9 @@ def run(
             )
             for server_rank in placements:
                 label = "-" if server_rank is None else str(server_rank)
-                spec = build_run_spec(
-                    workload,
-                    "deft",
+                spec = RunSpec.from_flat(
+                    workload=workload,
+                    sparsifier="deft",
                     density=density,
                     n_workers=n_workers,
                     scale=scale,

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.api import RunSpec
 from repro.experiments import config as expcfg
-from repro.experiments.runner import build_run_spec
 from repro.plugins import combination_refusal, valid_grid_cells
 from repro.sweep import ResultCache, run_sweep
 
@@ -96,9 +96,9 @@ def run(
                     continue
                 keys.append(key)
                 specs.append(
-                    build_run_spec(
-                        workload,
-                        sparsifier,
+                    RunSpec.from_flat(
+                        workload=workload,
+                        sparsifier=sparsifier,
                         density=density,
                         n_workers=n_workers,
                         scale=scale,

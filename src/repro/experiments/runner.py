@@ -1,109 +1,25 @@
 """Shared run helpers for the experiment drivers.
 
-These helpers are thin adapters from the historical flat keyword interface
-onto the :mod:`repro.api` facade: :func:`build_run_spec` assembles a layered
-:class:`~repro.api.RunSpec` from the flat keywords, :func:`run_training`
-executes one through a :class:`~repro.api.Session`, and
+The drivers describe a run with the flat keywords of
+:meth:`RunSpec.from_flat <repro.api.RunSpec.from_flat>` (``n_workers=8,
+execution="async_bsp"``, ...): :func:`run_training` executes one such spec
+through a :class:`~repro.api.Session`, and
 :func:`run_sparsifier_comparison` sweeps several through the
 :mod:`repro.sweep` engine -- so every experiment grid flows through the same
 entry point (and the same sweep machinery: result cache, optional process
 pool) as the CLI and user code.  The returned
 :class:`~repro.api.RunResult` exposes the full ``TrainingResult`` surface
-(``series``, ``final_metrics``, ``timing``, ...), so existing drivers are
-unaffected by the richer return type.
+(``series``, ``final_metrics``, ``timing``, ...).
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-from repro.api import (
-    ClusterSpec,
-    CompressionSpec,
-    ExecutionSpec,
-    OptimizerSpec,
-    RobustnessSpec,
-    RunResult,
-    RunSpec,
-    Session,
-)
+from repro.api import RunResult, RunSpec, Session
 from repro.training.tasks import Task
 
-__all__ = ["build_run_spec", "run_training", "run_sparsifier_comparison"]
-
-
-def build_run_spec(
-    workload: str,
-    sparsifier_name: str,
-    density: Optional[float] = None,
-    n_workers: int = 4,
-    scale: str = "smoke",
-    epochs: Optional[int] = None,
-    batch_size: Optional[int] = None,
-    lr: Optional[float] = None,
-    seed: int = 0,
-    max_iterations_per_epoch: Optional[int] = None,
-    evaluate_each_epoch: bool = True,
-    sparsifier_kwargs: Optional[dict] = None,
-    aggregator: Optional[str] = None,
-    aggregator_kwargs: Optional[dict] = None,
-    attack: str = "none",
-    attack_kwargs: Optional[dict] = None,
-    n_byzantine: int = 0,
-    execution: str = "synchronous",
-    execution_kwargs: Optional[dict] = None,
-    local_steps: int = 4,
-    max_staleness: int = 4,
-    straggler_profile: str = "uniform",
-    base_compute_seconds: float = 0.02,
-    topology: Optional[str] = None,
-    server_rank: Optional[int] = None,
-) -> RunSpec:
-    """The layered :class:`RunSpec` of the historical flat keyword soup.
-
-    All arguments default to the workload/scale presets of
-    :mod:`repro.experiments.config`; ``aggregator=None`` resolves to the
-    execution model's declared default (``staleness_weighted_mean`` under
-    ``async_bsp``); an explicit choice -- even ``"mean"`` -- is always
-    honoured.
-    """
-    return RunSpec(
-        workload=workload,
-        scale=scale,
-        seed=seed,
-        cluster=ClusterSpec(
-            n_workers=n_workers,
-            straggler_profile=straggler_profile,
-            base_compute_seconds=base_compute_seconds,
-            topology=topology,
-            server_rank=server_rank,
-        ),
-        optimizer=OptimizerSpec(
-            lr=lr,
-            batch_size=batch_size,
-            epochs=epochs,
-            max_iterations_per_epoch=max_iterations_per_epoch,
-            evaluate_each_epoch=evaluate_each_epoch,
-        ),
-        compression=CompressionSpec(
-            sparsifier=sparsifier_name,
-            density=density,
-            kwargs=dict(sparsifier_kwargs or {}),
-        ),
-        robustness=RobustnessSpec(
-            aggregator=aggregator,
-            aggregator_kwargs=dict(aggregator_kwargs or {}),
-            attack=attack,
-            attack_kwargs=dict(attack_kwargs or {}),
-            n_byzantine=n_byzantine,
-        ),
-        execution=ExecutionSpec(
-            model=execution,
-            local_steps=local_steps,
-            max_staleness=max_staleness,
-            kwargs=dict(execution_kwargs or {}),
-        ),
-    )
+__all__ = ["run_training", "run_sparsifier_comparison"]
 
 
 def run_training(
@@ -118,9 +34,11 @@ def run_training(
 
     ``task`` can be passed to reuse an already-built dataset across several
     runs of the same experiment; ``session`` to share the task cache.  The
-    remaining keywords are those of :func:`build_run_spec`.
+    remaining keywords are flat run fields (``density``, ``n_workers``,
+    ``aggregator``, ``execution_kwargs``, ...); everything left out keeps
+    the spec's default.
     """
-    spec = build_run_spec(workload, sparsifier_name, **kwargs)
+    spec = RunSpec.from_flat(workload=workload, sparsifier=sparsifier_name, **kwargs)
     session = session if session is not None else Session()
     return session.run(spec, task=task)
 
@@ -128,10 +46,6 @@ def run_training(
 def run_sparsifier_comparison(
     workload: str,
     sparsifier_names: Sequence[str],
-    density: Optional[float] = None,
-    n_workers: int = 4,
-    scale: str = "smoke",
-    seed: int = 0,
     jobs: int = 1,
     **kwargs,
 ) -> Dict[str, RunResult]:
@@ -140,22 +54,15 @@ def run_sparsifier_comparison(
     Routed through :func:`repro.sweep.run_sweep`: the serial path shares
     one Session (the dataset is built once per (workload, scale, seed)),
     and ``jobs > 1`` dispatches the sparsifiers to worker processes with
-    bit-identical results.
+    bit-identical results.  The remaining keywords are those of
+    :func:`run_training`.
     """
     # Imported lazily: repro.sweep builds on repro.api, which the
     # experiments package re-exports -- a module-level import would cycle.
     from repro.sweep import run_sweep
 
     specs = [
-        build_run_spec(
-            workload,
-            name,
-            density=density,
-            n_workers=n_workers,
-            scale=scale,
-            seed=seed,
-            **kwargs,
-        )
+        RunSpec.from_flat(workload=workload, sparsifier=name, **kwargs)
         for name in sparsifier_names
     ]
     report = run_sweep(specs, jobs=jobs)

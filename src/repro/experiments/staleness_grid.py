@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.api import RunSpec
 from repro.experiments import config as expcfg
-from repro.experiments.runner import build_run_spec
 from repro.sweep import ResultCache, run_sweep, spec_refusal
 
 __all__ = [
@@ -84,9 +84,9 @@ def run(
                     # touches the sparsifier: one run per profile suffices.
                     continue
                 label = "-" if execution == "elastic" else sparsifier
-                spec = build_run_spec(
-                    workload,
-                    sparsifier,
+                spec = RunSpec.from_flat(
+                    workload=workload,
+                    sparsifier=sparsifier,
                     density=density,
                     n_workers=n_workers,
                     scale=scale,

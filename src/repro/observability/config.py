@@ -7,15 +7,16 @@ instrumented hot paths cost nothing measurable (guarded by
 and training results are bit-identical with observability on or off --
 the tracer, the metrics registry and the event bus only *read* run state.
 
-The section travels inside :class:`~repro.api.RunSpec` (``observability``)
-and :class:`~repro.training.trainer.TrainingConfig`, but is deliberately
+The section travels inside :class:`~repro.api.RunSpec` (``observability``),
+declaring its ``repro train`` flags as field metadata like every other run
+field (see :func:`repro.api.spec.knob`), but is deliberately
 excluded from the sweep cache key (:func:`repro.sweep.cache.spec_key`):
 two specs that differ only in what they observe describe the same run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = ["ObservabilitySpec"]
 
@@ -37,8 +38,20 @@ class ObservabilitySpec:
         snapshotted into :meth:`~repro.api.RunResult.to_dict`.
     """
 
-    trace: bool = False
-    metrics: bool = False
+    trace: bool = field(default=False, metadata={
+        "flag": "--trace",
+        "help": "record per-worker per-iteration spans; with a "
+                "path, write a Chrome trace-event JSON openable "
+                "in Perfetto (ui.perfetto.dev) or chrome://tracing",
+        # The flag doubles as the trace's output path; present = enabled.
+        "argparse": {"action": "store", "nargs": "?", "const": "",
+                     "default": None, "metavar": "OUT.json"},
+    })
+    metrics: bool = field(default=False, metadata={
+        "flag": "--observe-metrics",
+        "help": "record counters/gauges/histograms over the run "
+                "and print the snapshot summary",
+    })
 
     @property
     def enabled(self) -> bool:

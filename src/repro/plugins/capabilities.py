@@ -1,11 +1,9 @@
 """Capability-driven cross-component validation.
 
-Before this module existed the rules governing which components may be
-combined lived in three different layers: ``TrainingConfig.__post_init__``
-(worker/Byzantine arithmetic), the execution models' ``_post_bind`` hooks
-(elastic rejecting momentum and gradient attacks, async rejecting colluding
-attacks) and the runner/CLI glue (async defaulting to the staleness-weighted
-aggregator).  Each rule is now a function of the *declared capabilities* of
+The rules governing which components may be combined -- worker/Byzantine
+arithmetic, elastic rejecting momentum and gradient attacks, async
+rejecting colluding attacks and defaulting to the staleness-weighted
+aggregator -- are each a function of the *declared capabilities* of
 the registered components, stated once here.  The execution models delegate
 their ``_post_bind`` refusals to these helpers, and
 :meth:`repro.api.RunSpec.validate` runs the whole matrix up front, so every
@@ -105,7 +103,7 @@ def _byzantine_count_refusal(n_workers: int, n_byzantine: int) -> Optional[str]:
 
 
 def check_byzantine_count(n_workers: int, n_byzantine: int) -> None:
-    """The group-size arithmetic previously in ``TrainingConfig``."""
+    """Refuse a Byzantine count that is negative or leaves no benign worker."""
     reason = _byzantine_count_refusal(n_workers, n_byzantine)
     if reason:
         raise ValueError(reason)

@@ -40,7 +40,6 @@ from repro.api.spec import RunSpec
 from repro.plugins import (
     available_components,
     combination_refusal,
-    default_aggregator_for,
     load_builtin_components,
 )
 
@@ -139,22 +138,7 @@ def spec_refusal(spec: RunSpec) -> Optional[str]:
     read as the execution model's declared default, exactly as
     ``resolve()`` fills it.
     """
-    aggregator = spec.robustness.aggregator
-    if aggregator is None:
-        aggregator = default_aggregator_for(spec.execution.model)
-    return combination_refusal(
-        execution=spec.execution.model,
-        attack=spec.robustness.attack,
-        aggregator=aggregator,
-        sparsifier=spec.compression.sparsifier,
-        n_workers=spec.cluster.n_workers,
-        n_byzantine=spec.robustness.n_byzantine,
-        momentum=spec.optimizer.momentum,
-        weight_decay=spec.optimizer.weight_decay,
-        topology=spec.cluster.topology,
-        server_rank=spec.cluster.server_rank,
-        sparsifier_kwargs=spec.compression.kwargs,
-    )
+    return combination_refusal(**spec.combination())
 
 
 def expand_grid(grid: Mapping[str, Any], *, prune: Optional[bool] = None) -> GridExpansion:

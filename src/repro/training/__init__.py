@@ -30,7 +30,7 @@ from repro.training.tasks import (
     RecommendationTask,
     Task,
 )
-from repro.training.trainer import DistributedTrainer, TrainingConfig, TrainingResult
+from repro.training.trainer import DistributedTrainer, TrainingResult
 
 __all__ = [
     "ErrorFeedbackMemory",
@@ -47,6 +47,5 @@ __all__ = [
     "LanguageModelingTask",
     "RecommendationTask",
     "DistributedTrainer",
-    "TrainingConfig",
     "TrainingResult",
 ]

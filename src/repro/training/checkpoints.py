@@ -76,7 +76,7 @@ def save_checkpoint(trainer: DistributedTrainer, path, extra: Optional[Dict[str,
 
     metadata = CheckpointMetadata(
         iteration=trainer.iteration,
-        n_workers=trainer.config.n_workers,
+        n_workers=trainer.n_workers,
         sparsifier=trainer.sparsifier.name,
         density=trainer.sparsifier.density,
         task=trainer.task.name,
@@ -96,10 +96,10 @@ def load_checkpoint(trainer: DistributedTrainer, path) -> CheckpointMetadata:
     if path.suffix != ".npz":
         path = path.with_suffix(".npz")
     metadata = CheckpointMetadata.from_dict(json.loads(path.with_suffix(".json").read_text()))
-    if metadata.n_workers != trainer.config.n_workers:
+    if metadata.n_workers != trainer.n_workers:
         raise ValueError(
             f"checkpoint was written with {metadata.n_workers} workers, "
-            f"trainer has {trainer.config.n_workers}"
+            f"trainer has {trainer.n_workers}"
         )
 
     with np.load(path) as archive:

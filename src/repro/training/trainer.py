@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -63,11 +63,11 @@ from repro.data.dataloader import DataLoader
 from repro.data.partition import shard_dataset
 from repro.comm.backend import CollectiveBackend
 from repro.execution.base import ExecutionModel, load_flat_parameters
-from repro.execution.straggler import STRAGGLER_PROFILES, VirtualClock, WorkerSpeedModel
-from repro.observability import Observability, ObservabilitySpec
+from repro.execution.straggler import VirtualClock, WorkerSpeedModel
+from repro.observability import Observability
 from repro.sparsifiers.base import GradientLayout, Sparsifier
 from repro.training.error_feedback import ErrorFeedbackMemory
-from repro.training.lr_schedule import ConstantLR, LRSchedule
+from repro.training.lr_schedule import ConstantLR
 from repro.training.metrics import actual_density, mean_error_norm
 from repro.training.optimizers import SGD, flatten_gradients
 from repro.training.tasks import Task
@@ -75,7 +75,10 @@ from repro.training.timing import IterationTiming, TimingAccumulator
 from repro.utils.logging import RunLogger
 from repro.utils.seeding import SeedSequenceFactory
 
-__all__ = ["TrainingConfig", "TrainingResult", "DistributedTrainer"]
+if TYPE_CHECKING:  # repro.api builds on this module; importing it here would cycle
+    from repro.api.spec import RunSpec
+
+__all__ = ["TrainingResult", "DistributedTrainer"]
 
 
 def _forward_is_pure(model) -> bool:
@@ -95,123 +98,6 @@ def _forward_is_pure(model) -> bool:
         return not any(isinstance(m, Dropout) for m in model.modules())
     except (AttributeError, TypeError):
         return False
-
-
-@dataclass
-class TrainingConfig:
-    """Hyperparameters of one distributed-training run."""
-
-    n_workers: int = 4
-    batch_size: int = 32
-    epochs: int = 2
-    lr: float = 0.1
-    momentum: float = 0.0
-    weight_decay: float = 0.0
-    seed: int = 0
-    #: Cap on iterations per epoch (None = full pass over each worker shard).
-    max_iterations_per_epoch: Optional[int] = None
-    #: Evaluate the task metric at the end of every epoch.
-    evaluate_each_epoch: bool = True
-    #: Optional learning-rate schedule overriding the constant ``lr``.
-    lr_schedule: Optional[LRSchedule] = None
-    #: Aggregation rule applied to the per-worker contributions (step 6).
-    #: None resolves to the execution model's declared default at
-    #: construction time (``staleness_weighted_mean`` under ``async_bsp``,
-    #: the paper's ``mean`` everywhere else), so *every* entry point --
-    #: CLI, API facade, or a directly constructed config -- agrees.  An
-    #: explicit choice (even ``"mean"``) is always honoured.
-    aggregator: Optional[str] = None
-    #: Extra constructor arguments for the aggregator.
-    aggregator_kwargs: Dict = field(default_factory=dict)
-    #: Attack corrupting the Byzantine subset of workers ("none" = benign).
-    attack: str = "none"
-    #: Extra constructor arguments for the attack.
-    attack_kwargs: Dict = field(default_factory=dict)
-    #: Number of Byzantine worker ranks (the last ranks of the group).
-    n_byzantine: int = 0
-    #: Execution schedule: "synchronous", "local_sgd", "async_bsp", "elastic".
-    execution: str = "synchronous"
-    #: Extra constructor arguments for the execution model.
-    execution_kwargs: Dict = field(default_factory=dict)
-    #: Local steps between averaging rounds (local_sgd / elastic).
-    local_steps: int = 4
-    #: Bounded-staleness window of the async schedule (0 = lock step).
-    max_staleness: int = 4
-    #: Worker compute-speed profile: "uniform", "lognormal" or "straggler".
-    straggler_profile: str = "uniform"
-    #: Modelled compute seconds of one mini-batch on a nominal worker.
-    base_compute_seconds: float = 0.02
-    #: Cluster topology spec ("ring", "star", "tree:4", "fat_node:8x4").
-    #: None resolves to the execution model's declared default at
-    #: construction time ("ring" under gossip, else the flat alpha-beta
-    #: pricing with every link one hop).
-    topology: Optional[str] = None
-    #: Worker rank hosting the parameter server.  Required by
-    #: parameter-server schedules (async_bsp, elastic) on graph
-    #: topologies -- push/pull traffic is then priced over
-    #: ``path_hops(rank, server_rank)`` -- and refused by server-less
-    #: schedules.
-    server_rank: Optional[int] = None
-    #: Execution backend: "simulated" (in-process lock step, deterministic
-    #: oracle) or "multiprocess" (real OS worker processes over
-    #: shared-memory arenas).
-    backend: str = "simulated"
-    #: OS worker processes of the multiprocess backend (None = auto:
-    #: ``min(n_workers, cpu_count)``).  Ignored by the simulated backend.
-    procs: Optional[int] = None
-    #: Observability flags (span tracing, metrics).  ``None`` means fully
-    #: disabled; recording never perturbs training (results are
-    #: bit-identical with tracing on or off).
-    observability: Optional[ObservabilitySpec] = None
-
-    def __post_init__(self) -> None:
-        if self.n_workers <= 0:
-            raise ValueError(f"n_workers must be positive, got {self.n_workers}")
-        if self.procs is not None and self.procs <= 0:
-            raise ValueError(f"procs must be positive, got {self.procs}")
-        from repro.plugins import get_component
-
-        try:
-            get_component("backend", self.backend)
-        except KeyError as exc:
-            raise ValueError(str(exc)) from exc
-        from repro.plugins.capabilities import check_byzantine_count
-
-        check_byzantine_count(self.n_workers, int(self.n_byzantine))
-        if self.local_steps < 1:
-            raise ValueError(f"local_steps must be >= 1, got {self.local_steps}")
-        if self.max_staleness < 0:
-            raise ValueError(f"max_staleness must be >= 0, got {self.max_staleness}")
-        if self.straggler_profile not in STRAGGLER_PROFILES:
-            raise ValueError(
-                f"unknown straggler profile {self.straggler_profile!r}; "
-                f"available: {list(STRAGGLER_PROFILES)}"
-            )
-        if self.base_compute_seconds <= 0:
-            raise ValueError("base_compute_seconds must be positive")
-        if self.aggregator is None:
-            # Imported lazily for the same reason the trainer imports the
-            # execution registry lazily: the registry pulls in the concrete
-            # execution models, which import training submodules.
-            from repro.plugins.capabilities import default_aggregator_for
-
-            self.aggregator = default_aggregator_for(self.execution)
-        from repro.plugins.capabilities import (
-            check_execution_supports_topology,
-            default_topology_for,
-        )
-
-        if self.topology is None:
-            self.topology = default_topology_for(self.execution)
-        check_execution_supports_topology(
-            self.execution,
-            topology=self.topology,
-            server_rank=self.server_rank,
-            n_workers=self.n_workers,
-        )
-
-    def schedule(self) -> LRSchedule:
-        return self.lr_schedule if self.lr_schedule is not None else ConstantLR(self.lr)
 
 
 @dataclass
@@ -251,7 +137,7 @@ class DistributedTrainer:
         self,
         task: Task,
         sparsifier: Sparsifier,
-        config: TrainingConfig,
+        spec: "RunSpec",
         backend: Optional[CollectiveBackend] = None,
         cost_model: Optional[AlphaBetaModel] = None,
         run_name: Optional[str] = None,
@@ -259,9 +145,24 @@ class DistributedTrainer:
         adversary: Optional[Adversary] = None,
         execution: Optional[ExecutionModel] = None,
     ) -> None:
+        """``spec`` must be resolved (:meth:`~repro.api.RunSpec.resolve`):
+        the trainer reads it as-is and neither fills presets nor
+        re-validates.  It supplies every knob; the ``sparsifier`` instance
+        (and any component passed by keyword) takes the place of the one
+        the spec names.
+        """
+        if None in (
+            spec.optimizer.lr, spec.optimizer.batch_size, spec.optimizer.epochs,
+            spec.robustness.aggregator,
+        ):
+            raise ValueError(
+                "DistributedTrainer needs a resolved spec; pass spec.resolve()"
+            )
         self.task = task
         self.sparsifier = sparsifier
-        self.config = config
+        self.spec = spec
+        self.n_workers = n_workers = spec.cluster.n_workers
+        seed = spec.seed
         if backend is not None:
             self.backend = backend
             self._owns_backend = False
@@ -269,35 +170,48 @@ class DistributedTrainer:
             from repro.backends.registry import build_backend_component
 
             self.backend = build_backend_component(
-                config.backend, config.n_workers, procs=config.procs
+                spec.execution.backend, n_workers, procs=spec.execution.procs
             )
             self._owns_backend = True
-        if self.backend.n_workers != config.n_workers:
+        if self.backend.n_workers != n_workers:
             raise ValueError("backend worker count does not match the training configuration")
         self.cost_model = cost_model if cost_model is not None else AlphaBetaModel()
+        robustness = spec.robustness
         self.aggregator = (
             aggregator
             if aggregator is not None
-            else build_aggregator(config.aggregator, n_byzantine=config.n_byzantine, **config.aggregator_kwargs)
+            else build_aggregator(
+                robustness.aggregator,
+                n_byzantine=robustness.n_byzantine,
+                **robustness.aggregator_kwargs,
+            )
         )
         self.adversary = (
             adversary
             if adversary is not None
-            else build_attack(config.attack, n_byzantine=config.n_byzantine, **config.attack_kwargs)
+            else build_attack(
+                robustness.attack,
+                n_byzantine=robustness.n_byzantine,
+                **robustness.attack_kwargs,
+            )
         )
 
-        seeds = SeedSequenceFactory(config.seed)
+        seeds = SeedSequenceFactory(seed)
         self.model = task.build_model(rng=seeds.rng("model"))
         self.layout = GradientLayout.from_model(self.model)
         self.n_gradients = self.layout.total_size
-        self.sparsifier.setup(self.layout, config.n_workers, seed=config.seed)
-        self.aggregator.setup(config.n_workers)
-        self.adversary.setup(config.n_workers, self.n_gradients, seed=config.seed)
+        self.sparsifier.setup(self.layout, n_workers, seed=seed)
+        self.aggregator.setup(n_workers)
+        self.adversary.setup(n_workers, self.n_gradients, seed=seed)
 
-        self.optimizer = SGD(self.model, momentum=config.momentum, weight_decay=config.weight_decay)
-        self.memories = [ErrorFeedbackMemory(self.n_gradients) for _ in range(config.n_workers)]
+        self.optimizer = SGD(
+            self.model,
+            momentum=spec.optimizer.momentum,
+            weight_decay=spec.optimizer.weight_decay,
+        )
+        self.memories = [ErrorFeedbackMemory(self.n_gradients) for _ in range(n_workers)]
         self.loaders = self._build_loaders(seeds)
-        self.schedule = config.schedule()
+        self.schedule = ConstantLR(spec.optimizer.lr)
 
         # Imported here rather than at module level: the registry pulls in
         # the concrete execution models, which import training submodules.
@@ -308,60 +222,65 @@ class DistributedTrainer:
         # and the per-rank hop count to the parameter server.
         from repro.comm.topology import build_topology
 
-        self.topology = build_topology(config.topology, config.n_workers)
+        server_rank = spec.cluster.server_rank
+        self.topology = build_topology(spec.cluster.topology, n_workers)
         self._latency_scale = (
             self.topology.latency_scale() if self.topology is not None else 1.0
         )
-        if self.topology is not None and config.server_rank is not None:
+        if self.topology is not None and server_rank is not None:
             self._server_hops = [
-                float(self.topology.path_hops(rank, config.server_rank))
-                for rank in range(config.n_workers)
+                float(self.topology.path_hops(rank, server_rank))
+                for rank in range(n_workers)
             ]
         else:
-            self._server_hops = [1.0] * config.n_workers
+            self._server_hops = [1.0] * n_workers
 
         self.speed_model = WorkerSpeedModel(
-            config.n_workers,
-            base_compute_seconds=config.base_compute_seconds,
-            profile=config.straggler_profile,
-            seed=config.seed,
+            n_workers,
+            base_compute_seconds=spec.cluster.base_compute_seconds,
+            profile=spec.cluster.straggler_profile,
+            seed=seed,
         )
-        self.clock = VirtualClock(config.n_workers)
+        self.clock = VirtualClock(n_workers)
         self.execution = (
             execution
             if execution is not None
             else build_execution_model(
-                config.execution,
-                local_steps=config.local_steps,
-                max_staleness=config.max_staleness,
-                **config.execution_kwargs,
+                spec.execution.model,
+                local_steps=spec.execution.local_steps,
+                max_staleness=spec.execution.max_staleness,
+                **spec.execution.kwargs,
             )
         )
 
-        name = run_name or f"{task.name}-{sparsifier.name}-w{config.n_workers}-d{sparsifier.density}"
+        name = (
+            run_name
+            or spec.run_name
+            or f"{task.name}-{sparsifier.name}-w{n_workers}-d{sparsifier.density}"
+        )
         # Observability hub: span tracer + metrics registry + event bus.
         # Disabled flags map to shared no-op collaborators, so the
         # instrumentation below records nothing and costs almost nothing
         # unless the run asked for it.
         self.obs = Observability(
-            config.observability, n_workers=config.n_workers, run_name=name
+            spec.observability, n_workers=n_workers, run_name=name
         )
         self.logger = RunLogger(run_name=name)
         self.logger.log_metadata(
             task=task.name,
             sparsifier=sparsifier.name,
             density=sparsifier.density,
-            n_workers=config.n_workers,
-            batch_size=config.batch_size,
+            n_workers=n_workers,
+            batch_size=spec.optimizer.batch_size,
             n_gradients=self.n_gradients,
-            seed=config.seed,
+            seed=seed,
             aggregator=self.aggregator.name,
             attack=self.adversary.name,
             n_byzantine=self.adversary.n_byzantine,
             execution=self.execution.name,
-            straggler_profile=config.straggler_profile,
-            topology=config.topology or "flat",
-            server_rank=config.server_rank,
+            straggler_profile=spec.cluster.straggler_profile,
+            topology=spec.cluster.topology or "flat",
+            server_rank=server_rank,
             backend=self.backend_name,
             procs=self.backend_procs,
         )
@@ -377,7 +296,7 @@ class DistributedTrainer:
         # per-worker contribution matrix (grown geometrically as the index
         # union widens) and the dense update vector (zero except at the
         # union, which is re-zeroed after each apply).
-        self._contrib_buffer = np.empty((config.n_workers, 0), dtype=np.float64)
+        self._contrib_buffer = np.empty((n_workers, 0), dtype=np.float64)
         self._update_buffer = np.zeros(self.n_gradients, dtype=np.float64)
         # Compute offload: backends with real worker processes can evaluate
         # forward/backward off the parent -- but only for models whose
@@ -407,12 +326,12 @@ class DistributedTrainer:
     def _build_loaders(self, seeds: SeedSequenceFactory) -> List[DataLoader]:
         dataset = self.task.train_dataset()
         loaders = []
-        for rank in range(self.config.n_workers):
-            shard = shard_dataset(dataset, self.config.n_workers, rank, seed=self.config.seed)
+        for rank in range(self.n_workers):
+            shard = shard_dataset(dataset, self.n_workers, rank, seed=self.spec.seed)
             loaders.append(
                 DataLoader(
                     shard,
-                    batch_size=self.config.batch_size,
+                    batch_size=self.spec.optimizer.batch_size,
                     shuffle=True,
                     rng=seeds.rng("loader", rank),
                 )
@@ -465,7 +384,7 @@ class DistributedTrainer:
         corrupted), ``honest_accumulators`` is what feeds the error-feedback
         update.  Returns the per-step measurements the loggers need.
         """
-        n_workers = self.config.n_workers
+        n_workers = self.n_workers
         trace = self.obs.trace_enabled
         # All exchange phases happen at the round's synchronization point
         # on the virtual clock: compute has finished (the slowest worker
@@ -600,7 +519,7 @@ class DistributedTrainer:
         overwritten every iteration; callers must not hold views across
         iterations (the aggregators consume the matrix within the call).
         """
-        n_workers = self.config.n_workers
+        n_workers = self.n_workers
         m = int(global_indices.shape[0])
         if self._contrib_buffer.shape[1] < m:
             capacity = max(m, 2 * self._contrib_buffer.shape[1])
@@ -613,7 +532,7 @@ class DistributedTrainer:
     # ------------------------------------------------------------------ #
     def train_iteration(self, batches: Sequence, lr: float) -> Dict[str, float]:
         """Run one synchronous iteration over all workers; returns metrics."""
-        n_workers = self.config.n_workers
+        n_workers = self.n_workers
         forward_backward_times = np.zeros(n_workers)
         losses = np.zeros(n_workers)
         accumulators: List[np.ndarray] = []
@@ -741,7 +660,7 @@ class DistributedTrainer:
         ``src``/``dst`` path.  Without a topology every link is one hop and
         the scale is 1, reproducing the flat pricing bit for bit.
         """
-        n = self.config.n_workers
+        n = self.n_workers
         scale = self._latency_scale
         seconds = 0.0
         for record in self.backend.meter.records[records_before:]:
@@ -782,8 +701,8 @@ class DistributedTrainer:
     def epoch_iteration_budget(self) -> int:
         """Lock-step iterations per epoch (one pass over the shortest shard)."""
         n_iterations = min(len(loader) for loader in self.loaders)
-        if self.config.max_iterations_per_epoch is not None:
-            n_iterations = min(n_iterations, self.config.max_iterations_per_epoch)
+        if self.spec.optimizer.max_iterations_per_epoch is not None:
+            n_iterations = min(n_iterations, self.spec.optimizer.max_iterations_per_epoch)
         return n_iterations
 
     def log_epoch_summary(self, epoch: int, epoch_metrics: List[Dict[str, float]]) -> Dict[str, float]:
@@ -795,7 +714,7 @@ class DistributedTrainer:
         }
         self.logger.log_scalar("epoch_loss", epoch, summary["loss"])
         self.logger.log_scalar("epoch_density", epoch, summary["density"])
-        if self.config.evaluate_each_epoch:
+        if self.spec.optimizer.evaluate_each_epoch:
             eval_start = time.perf_counter()
             evaluation = self.task.evaluate(self.model)
             if self.obs.trace_enabled:
@@ -833,13 +752,13 @@ class DistributedTrainer:
             if self._owns_backend:
                 self.backend.close()
         final_metrics = dict(last_summary)
-        if not self.config.evaluate_each_epoch:
+        if not self.spec.optimizer.evaluate_each_epoch:
             final_metrics.update(self.task.evaluate(self.model))
         return TrainingResult(
             logger=self.logger,
             timing=self.timing,
             final_metrics=final_metrics,
             iterations_run=self.iteration,
-            epochs_run=self.config.epochs,
+            epochs_run=self.spec.optimizer.epochs,
             estimated_wallclock=self.clock.now,
         )

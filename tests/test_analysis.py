@@ -21,7 +21,8 @@ from repro.analysis.speedup import (
     trivial_speedup,
 )
 from repro.sparsifiers import build_sparsifier
-from repro.training.trainer import DistributedTrainer, TrainingConfig
+from repro.api import RunSpec
+from repro.training.trainer import DistributedTrainer
 from tests.conftest import make_smoke_lm_task
 
 
@@ -123,8 +124,8 @@ class TestDensityAnalysis:
 
     def test_statistics_from_training_run(self, smoke_lm_task):
         sparsifier = build_sparsifier("topk", 0.05)
-        config = TrainingConfig(n_workers=4, batch_size=8, epochs=1, lr=0.2, seed=0,
-                                max_iterations_per_epoch=3, evaluate_each_epoch=False)
+        config = RunSpec.from_flat(n_workers=4, batch_size=8, epochs=1, lr=0.2, seed=0,
+                                max_iterations_per_epoch=3, evaluate_each_epoch=False).resolve()
         result = DistributedTrainer(smoke_lm_task, sparsifier, config).train()
         stats = density_statistics(result, 0.05)
         assert stats["mean"] > 0.05
@@ -136,8 +137,8 @@ class TestSeriesHelpers:
     def _result(self):
         task = make_smoke_lm_task()
         sparsifier = build_sparsifier("deft", 0.05)
-        config = TrainingConfig(n_workers=2, batch_size=8, epochs=1, lr=0.2, seed=0,
-                                max_iterations_per_epoch=3)
+        config = RunSpec.from_flat(n_workers=2, batch_size=8, epochs=1, lr=0.2, seed=0,
+                                max_iterations_per_epoch=3).resolve()
         return DistributedTrainer(task, sparsifier, config).train()
 
     def test_iteration_and_epoch_series(self):

@@ -1,5 +1,6 @@
 """Tests for the :mod:`repro.api` facade: RunSpec, Session, RunResult."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -16,7 +17,8 @@ from repro.api import (
     Session,
 )
 from repro.api import run as api_run
-from repro.cli import spec_from_argv
+from repro.api.spec import spec_fields
+from repro.cli import _build_parser, spec_from_argv
 
 
 def smoke_spec(**overrides) -> RunSpec:
@@ -71,70 +73,127 @@ class TestResolve:
 
 
 class TestTrainingConfigDefaultAggregator:
-    """The layering fix: the default lives in config resolution, so a direct
-    TrainingConfig caller agrees with the runner and the CLI."""
+    """The aggregator default lives in spec resolution, so a flat-keyword
+    caller building its own trainer (what ``TrainingConfig`` callers did
+    before the trainer read the spec) agrees with the runner and the CLI."""
 
     def test_direct_config_gets_staleness_weighted_under_async(self):
-        from repro.training.trainer import TrainingConfig
-
-        assert TrainingConfig(execution="async_bsp").aggregator == "staleness_weighted_mean"
+        resolved = RunSpec.from_flat(execution="async_bsp").resolve()
+        assert resolved.robustness.aggregator == "staleness_weighted_mean"
 
     def test_direct_config_gets_mean_elsewhere(self):
-        from repro.training.trainer import TrainingConfig
-
-        assert TrainingConfig().aggregator == "mean"
-        assert TrainingConfig(execution="local_sgd").aggregator == "mean"
+        assert RunSpec.from_flat().resolve().robustness.aggregator == "mean"
+        resolved = RunSpec.from_flat(execution="local_sgd").resolve()
+        assert resolved.robustness.aggregator == "mean"
 
     def test_explicit_choice_always_honoured(self):
-        from repro.training.trainer import TrainingConfig
-
-        assert TrainingConfig(execution="async_bsp", aggregator="mean").aggregator == "mean"
+        resolved = RunSpec.from_flat(execution="async_bsp", aggregator="mean").resolve()
+        assert resolved.robustness.aggregator == "mean"
 
     def test_trainer_metadata_agrees(self, smoke_lm_task):
-        from repro.training.trainer import DistributedTrainer, TrainingConfig
+        from repro.training.trainer import DistributedTrainer
         from repro.sparsifiers import build_sparsifier
 
-        config = TrainingConfig(
+        spec = RunSpec.from_flat(
             n_workers=2, batch_size=8, epochs=1, max_iterations_per_epoch=2,
             evaluate_each_epoch=False, execution="async_bsp",
-        )
+        ).resolve()
         trainer = DistributedTrainer(
-            smoke_lm_task, build_sparsifier("deft", 0.05), config
+            smoke_lm_task, build_sparsifier("deft", 0.05), spec
         )
         result = trainer.train()
         assert result.logger.metadata["aggregator"] == "staleness_weighted_mean"
 
+    def test_trainer_refuses_an_unresolved_spec(self, smoke_lm_task):
+        from repro.training.trainer import DistributedTrainer
+        from repro.sparsifiers import build_sparsifier
+
+        with pytest.raises(ValueError, match="resolved spec"):
+            DistributedTrainer(smoke_lm_task, build_sparsifier("deft", 0.05), RunSpec())
+
+
+#: Flat keywords giving every run field a valid non-default value.  No one
+#: spec can: only ``elastic`` takes execution kwargs and it refuses momentum,
+#: weight decay and gradient attacks -- the variant below covers that side.
+EVERYTHING = dict(
+    workload="cv", scale="repro", seed=7, run_name="everything",
+    n_workers=6, straggler_profile="lognormal", base_compute_seconds=0.01,
+    topology="ring", server_rank=2,
+    lr=0.3, momentum=0.5, weight_decay=0.01, batch_size=8, epochs=3,
+    max_iterations_per_epoch=5, evaluate_each_epoch=False,
+    sparsifier="dgc", density=0.05,
+    sparsifier_kwargs={"sample_ratio": 0.2, "refine": False},
+    aggregator="centered_clipping", aggregator_kwargs={"tau": 0.5},
+    attack="gaussian_noise", attack_kwargs={"std": 0.2}, n_byzantine=1,
+    execution="async_bsp", local_steps=2, max_staleness=3,
+    backend="multiprocess", procs=2,
+    trace=True, metrics=True,
+)
+ELASTIC_VARIANT = dict(
+    EVERYTHING, execution="elastic", execution_kwargs={"elastic_alpha": 0.2},
+    momentum=0.0, weight_decay=0.0, attack="label_flip", attack_kwargs={},
+)
+
+
+def declared_fields():
+    """``(section, field)`` of every run field, walked off the dataclasses."""
+    for top in dataclasses.fields(RunSpec):
+        section = getattr(RunSpec(), top.name)
+        if dataclasses.is_dataclass(section):
+            for f in dataclasses.fields(section):
+                yield top.name, f.name
+        else:
+            yield None, top.name
+
 
 class TestRoundTrips:
-    def spec_with_everything(self) -> RunSpec:
-        return RunSpec(
-            workload="lm",
-            scale="smoke",
-            seed=7,
-            cluster=ClusterSpec(n_workers=4, straggler_profile="lognormal",
-                                base_compute_seconds=0.01),
-            optimizer=OptimizerSpec(lr=0.3, batch_size=8, epochs=1,
-                                    max_iterations_per_epoch=3,
-                                    evaluate_each_epoch=False),
-            compression=CompressionSpec(sparsifier="dgc", density=0.05,
-                                        kwargs={"sample_ratio": 0.2, "refine": False}),
-            robustness=RobustnessSpec(aggregator="centered_clipping",
-                                      aggregator_kwargs={"tau": 0.5},
-                                      attack="gaussian_noise",
-                                      attack_kwargs={"std": 0.2},
-                                      n_byzantine=1),
-            execution=ExecutionSpec(model="local_sgd", local_steps=2),
+    def specs_with_everything(self):
+        return [RunSpec.from_flat(**EVERYTHING), RunSpec.from_flat(**ELASTIC_VARIANT)]
+
+    def test_every_field_takes_a_non_default_value_and_owns_one_flag(self):
+        """Structural: a field added without a flag, or one the specs above
+        never exercise, fails here."""
+        table = {(f.section, f.name): f for f in spec_fields()}
+        assert set(table) == set(declared_fields())
+        for f in table.values():
+            values = [getattr(f.owner(spec), f.name) for spec in self.specs_with_everything()]
+            assert any(value != f.default for value in values), f.flat
+
+        subparsers = next(
+            a for a in _build_parser()._actions if isinstance(a.choices, dict)
         )
+        actions = subparsers.choices["train"]._actions
+        by_flag = {opt: action for action in actions for opt in action.option_strings}
+        dests = [action.dest for action in actions]
+        assert len({f.flag for f in table.values()}) == len(table)
+        for f in table.values():
+            assert by_flag[f.flag].dest == f.flat
+            assert by_flag[f.flag].option_strings == [f.flag]
+            assert dests.count(f.flat) == 1
 
     def test_dict_round_trip(self):
-        spec = self.spec_with_everything()
-        assert RunSpec.from_dict(spec.to_dict()) == spec
+        for spec in self.specs_with_everything():
+            assert RunSpec.from_dict(spec.to_dict()) == spec
 
     def test_json_round_trip(self):
-        spec = self.spec_with_everything()
-        rebuilt = RunSpec.from_json(spec.to_json(indent=2))
-        assert rebuilt == spec
-        assert rebuilt.resolve() == spec.resolve()
+        for spec in self.specs_with_everything():
+            rebuilt = RunSpec.from_json(spec.to_json(indent=2))
+            assert rebuilt == spec
+            assert rebuilt.resolve() == spec.resolve()
+
+    @pytest.mark.parametrize("data, match", [
+        ({"cluster": {"workers": 4}}, r"cluster\.workers.*n_workers"),
+        ({"clutser": {}}, "clutser.*cluster"),
+        ({"optimizer": None}, "'optimizer' must be a mapping, got NoneType"),
+        (["cluster"], "must be a mapping, got list"),
+    ])
+    def test_from_dict_names_the_bad_key(self, data, match):
+        with pytest.raises(ValueError, match=match):
+            RunSpec.from_dict(data)
+
+    def test_from_flat_rejects_unknown_keywords(self):
+        with pytest.raises(TypeError, match="workers.*n_workers"):
+            RunSpec.from_flat(workers=4)
 
     def test_from_dict_tolerates_missing_sections(self):
         spec = RunSpec.from_dict({"workload": "cv", "cluster": {"n_workers": 8}})
@@ -143,11 +202,11 @@ class TestRoundTrips:
         assert spec.optimizer == OptimizerSpec()
 
     def test_argv_round_trip(self):
-        spec = self.spec_with_everything()
-        argv = spec.to_argv()
-        assert argv[0] == "train"
-        rebuilt = spec_from_argv(argv)
-        assert rebuilt.resolve() == spec.resolve()
+        for spec in self.specs_with_everything():
+            argv = spec.to_argv()
+            assert argv[0] == "train"
+            rebuilt = spec_from_argv(argv)
+            assert rebuilt.resolve() == spec.resolve()
 
     def test_argv_round_trip_with_robust_norms(self):
         spec = smoke_spec(
@@ -240,6 +299,19 @@ class TestValidationMatrix:
         with pytest.raises(ValueError, match="benign worker"):
             spec.validate()
 
+    @pytest.mark.parametrize("knobs, match", [
+        (dict(n_workers=0), "n_workers must be positive, got 0"),
+        (dict(n_workers=-2), "n_workers must be positive, got -2"),
+        (dict(local_steps=0), "local_steps must be >= 1, got 0"),
+        (dict(max_staleness=-1), "max_staleness must be >= 0, got -1"),
+        (dict(base_compute_seconds=0.0), "base_compute_seconds must be positive"),
+        (dict(base_compute_seconds=-1.0), "base_compute_seconds must be positive"),
+        (dict(procs=0), "procs must be >= 1, got 0"),
+    ])
+    def test_out_of_range_knobs_rejected_at_resolve(self, knobs, match):
+        with pytest.raises(ValueError, match=match):
+            RunSpec.from_flat(**knobs).resolve()
+
     def test_unknown_component_names_rejected(self):
         with pytest.raises(KeyError, match="unknown sparsifier"):
             smoke_spec(compression=CompressionSpec(sparsifier="zzz")).validate()
@@ -303,12 +375,12 @@ class TestSessionRun:
     def test_bit_identical_to_direct_trainer(self, smoke_lm_task):
         """Acceptance criterion: the facade adds nothing to the math."""
         from repro.sparsifiers import build_sparsifier
-        from repro.training.trainer import DistributedTrainer, TrainingConfig
+        from repro.training.trainer import DistributedTrainer
 
-        config = TrainingConfig(
+        config = RunSpec.from_flat(
             n_workers=2, batch_size=8, epochs=1, lr=0.2, seed=3,
             max_iterations_per_epoch=4,
-        )
+        ).resolve()
         direct = DistributedTrainer(
             smoke_lm_task, build_sparsifier("deft", 0.05), config
         ).train()

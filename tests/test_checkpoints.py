@@ -5,15 +5,16 @@ import pytest
 
 from repro.sparsifiers import build_sparsifier
 from repro.training.checkpoints import CheckpointMetadata, load_checkpoint, save_checkpoint
-from repro.training.trainer import DistributedTrainer, TrainingConfig
+from repro.api import RunSpec
+from repro.training.trainer import DistributedTrainer
 from tests.conftest import make_smoke_lm_task
 
 
 def make_trainer(n_workers=2, momentum=0.0, seed=0):
     task = make_smoke_lm_task(seed=seed)
     sparsifier = build_sparsifier("deft", 0.05)
-    config = TrainingConfig(n_workers=n_workers, batch_size=8, epochs=1, lr=0.2, seed=seed,
-                            momentum=momentum, max_iterations_per_epoch=3, evaluate_each_epoch=False)
+    config = RunSpec.from_flat(n_workers=n_workers, batch_size=8, epochs=1, lr=0.2, seed=seed,
+                            momentum=momentum, max_iterations_per_epoch=3, evaluate_each_epoch=False).resolve()
     return DistributedTrainer(task, sparsifier, config)
 
 

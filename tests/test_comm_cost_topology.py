@@ -206,9 +206,10 @@ class TestTopologySpecs:
 
 def _placement_run(task, execution, topology=None, server_rank=None, **kwargs):
     from repro.sparsifiers import build_sparsifier
-    from repro.training.trainer import DistributedTrainer, TrainingConfig
+    from repro.api import RunSpec
+    from repro.training.trainer import DistributedTrainer
 
-    config = TrainingConfig(
+    config = RunSpec.from_flat(
         n_workers=8,
         batch_size=8,
         epochs=1,
@@ -220,7 +221,7 @@ def _placement_run(task, execution, topology=None, server_rank=None, **kwargs):
         topology=topology,
         server_rank=server_rank,
         **kwargs,
-    )
+    ).resolve()
     trainer = DistributedTrainer(task, build_sparsifier("deft", 0.05), config)
     return trainer.train()
 

@@ -182,10 +182,18 @@ def test_capability_vocabulary_covers_every_declared_flag():
     assert declared <= set(CAPABILITY_VOCABULARY)
 
 
-def test_api_drift_clean_and_catches_stale_snapshot(tmp_path):
+def test_api_drift_clean_and_catches_stale_snapshot(tmp_path, monkeypatch):
+    from repro.api import RunSpec
     from repro.devtools.api_drift import check_api_drift
 
     assert check_api_drift() == []
+
+    # A parser that loses a field on the way back breaks the round-trip.
+    with monkeypatch.context() as patch:
+        patch.setattr("repro.cli.spec_from_argv", lambda argv: RunSpec(seed=1))
+        broken = check_api_drift()
+    assert [f.rule for f in broken] == ["api-drift"]
+    assert "round-trip" in broken[0].message
 
     stale = tmp_path / "api_surface.json"
     stale.write_text(json.dumps({"api_all": ["nothing"], "components": {}}))

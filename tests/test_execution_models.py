@@ -18,12 +18,13 @@ from repro.execution import (
     load_flat_parameters,
 )
 from repro.sparsifiers import build_sparsifier
-from repro.training.trainer import DistributedTrainer, TrainingConfig
+from repro.api import RunSpec
+from repro.training.trainer import DistributedTrainer
 
 
 def run_with(task, execution, sparsifier="deft", density=0.05, n_workers=4, iterations=6,
              epochs=1, seed=0, lr=0.2, **config_kwargs):
-    config = TrainingConfig(
+    config = RunSpec.from_flat(
         n_workers=n_workers,
         batch_size=8,
         epochs=epochs,
@@ -33,7 +34,7 @@ def run_with(task, execution, sparsifier="deft", density=0.05, n_workers=4, iter
         evaluate_each_epoch=False,
         execution=execution,
         **config_kwargs,
-    )
+    ).resolve()
     trainer = DistributedTrainer(task, build_sparsifier(sparsifier, density), config)
     return trainer, trainer.train()
 
@@ -156,10 +157,10 @@ class TestSynchronousExtraction:
         """The default config and an explicit --execution synchronous must
         produce the same trajectory (the extraction is pure code motion)."""
         _, default = run_with(smoke_lm_task, "synchronous", seed=5)
-        config = TrainingConfig(
+        config = RunSpec.from_flat(
             n_workers=4, batch_size=8, epochs=1, lr=0.2, seed=5,
             max_iterations_per_epoch=6, evaluate_each_epoch=False,
-        )
+        ).resolve()
         trainer = DistributedTrainer(smoke_lm_task, build_sparsifier("deft", 0.05), config)
         baseline = trainer.train()
         np.testing.assert_array_equal(
@@ -303,11 +304,11 @@ class TestAsyncBSP:
         though the async schedule has no collective coordinate phase."""
         from repro.sparsifiers import build_sparsifier as build
 
-        config = TrainingConfig(
+        config = RunSpec.from_flat(
             n_workers=4, batch_size=8, epochs=1, lr=0.2, seed=0,
             max_iterations_per_epoch=3, evaluate_each_epoch=False,
             execution="async_bsp", straggler_profile="lognormal",
-        )
+        ).resolve()
         sparsifier = build("deft", 0.05, robust_norms=True)
         trainer = DistributedTrainer(smoke_lm_task, sparsifier, config)
         trainer.train()
@@ -384,32 +385,32 @@ class TestElastic:
 
 class TestConfigValidation:
     def test_negative_byzantine_rejected(self):
-        with pytest.raises(ValueError):
-            TrainingConfig(n_workers=4, n_byzantine=-1)
+        with pytest.raises(ValueError, match="non-negative"):
+            RunSpec.from_flat(n_workers=4, n_byzantine=-1).resolve()
 
     def test_all_byzantine_rejected(self):
         with pytest.raises(ValueError, match="benign worker"):
-            TrainingConfig(n_workers=4, n_byzantine=4)
+            RunSpec.from_flat(n_workers=4, n_byzantine=4).resolve()
 
     def test_more_byzantine_than_workers_rejected(self):
         with pytest.raises(ValueError, match="benign worker"):
-            TrainingConfig(n_workers=2, n_byzantine=5)
+            RunSpec.from_flat(n_workers=2, n_byzantine=5).resolve()
 
     def test_valid_byzantine_accepted(self):
-        config = TrainingConfig(n_workers=4, n_byzantine=3)
-        assert config.n_byzantine == 3
+        spec = RunSpec.from_flat(n_workers=4, n_byzantine=3).resolve()
+        assert spec.robustness.n_byzantine == 3
 
     def test_bad_local_steps_rejected(self):
-        with pytest.raises(ValueError):
-            TrainingConfig(local_steps=0)
+        with pytest.raises(ValueError, match="local_steps must be >= 1"):
+            RunSpec.from_flat(local_steps=0).resolve()
 
     def test_bad_staleness_rejected(self):
-        with pytest.raises(ValueError):
-            TrainingConfig(max_staleness=-1)
+        with pytest.raises(ValueError, match="max_staleness must be >= 0"):
+            RunSpec.from_flat(max_staleness=-1).resolve()
 
     def test_bad_profile_rejected(self):
-        with pytest.raises(ValueError):
-            TrainingConfig(straggler_profile="nonexistent")
+        with pytest.raises(ValueError, match="unknown straggler profile"):
+            RunSpec.from_flat(straggler_profile="nonexistent").resolve()
 
     def test_profiles_registry_is_stable(self):
         assert STRAGGLER_PROFILES == ("uniform", "lognormal", "straggler")

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from repro.sparsifiers import build_sparsifier
-from repro.training.trainer import DistributedTrainer, TrainingConfig
+from repro.api import RunSpec
+from repro.training.trainer import DistributedTrainer
 
 
 def run_gossip(task, sparsifier="deft", density=0.05, n_workers=4, iterations=5,
                epochs=1, seed=0, lr=0.2, **config_kwargs):
-    config = TrainingConfig(
+    config = RunSpec.from_flat(
         n_workers=n_workers,
         batch_size=8,
         epochs=epochs,
@@ -19,7 +20,7 @@ def run_gossip(task, sparsifier="deft", density=0.05, n_workers=4, iterations=5,
         evaluate_each_epoch=False,
         execution="gossip",
         **config_kwargs,
-    )
+    ).resolve()
     trainer = DistributedTrainer(task, build_sparsifier(sparsifier, density), config)
     return trainer, trainer.train()
 
@@ -39,7 +40,7 @@ class TestGossipSchedule:
 
     def test_defaults_to_ring_topology(self, smoke_lm_task):
         trainer, result = run_gossip(smoke_lm_task)
-        assert trainer.config.topology == "ring"
+        assert trainer.spec.cluster.topology == "ring"
         assert trainer.topology is not None
         assert trainer.topology.name == "ring"
         assert result.logger.metadata["topology"] == "ring"

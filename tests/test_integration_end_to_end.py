@@ -9,19 +9,20 @@ import pytest
 from repro.sparsifiers import build_sparsifier
 from repro.sparsifiers.base import GradientLayout
 from repro.training.tasks import ImageClassificationTask, LanguageModelingTask
-from repro.training.trainer import DistributedTrainer, TrainingConfig
+from repro.api import RunSpec
+from repro.training.trainer import DistributedTrainer
 
 
 def train(task, sparsifier_name, density, n_workers, epochs, lr, seed=0, iterations=None):
     sparsifier = build_sparsifier(sparsifier_name, density)
-    config = TrainingConfig(
+    config = RunSpec.from_flat(
         n_workers=n_workers,
         batch_size=8,
         epochs=epochs,
         lr=lr,
         seed=seed,
         max_iterations_per_epoch=iterations,
-    )
+    ).resolve()
     return DistributedTrainer(task, sparsifier, config).train()
 
 

@@ -26,7 +26,8 @@ from repro.observability import (
     SpanTracer,
 )
 from repro.sparsifiers import build_sparsifier
-from repro.training.trainer import DistributedTrainer, TrainingConfig
+from repro.api import RunSpec
+from repro.training.trainer import DistributedTrainer
 from tests.conftest import make_smoke_lm_task
 
 
@@ -44,9 +45,9 @@ def small_spec(execution="synchronous", trace=True, metrics=False, seed=0, **clu
     )
 
 
-def make_trainer(n_workers=2, iterations=3, observability=None, **config_kwargs):
+def make_trainer(n_workers=2, iterations=3, **config_kwargs):
     task = make_smoke_lm_task()
-    config = TrainingConfig(
+    config = RunSpec.from_flat(
         n_workers=n_workers,
         batch_size=8,
         epochs=1,
@@ -54,9 +55,8 @@ def make_trainer(n_workers=2, iterations=3, observability=None, **config_kwargs)
         seed=0,
         max_iterations_per_epoch=iterations,
         evaluate_each_epoch=False,
-        observability=observability,
         **config_kwargs,
-    )
+    ).resolve()
     return DistributedTrainer(task, build_sparsifier("deft", 0.05), config)
 
 

@@ -160,21 +160,23 @@ class TestExtendedBaselinesInTraining:
     @pytest.mark.parametrize("name", ["dgc", "gaussiank", "gtopk"])
     def test_short_training_run(self, name, smoke_lm_task):
         from repro.sparsifiers import build_sparsifier
-        from repro.training.trainer import DistributedTrainer, TrainingConfig
+        from repro.api import RunSpec
+        from repro.training.trainer import DistributedTrainer
 
         sparsifier = build_sparsifier(name, 0.05)
-        config = TrainingConfig(n_workers=2, batch_size=8, epochs=1, lr=0.2, seed=0,
-                                max_iterations_per_epoch=3, evaluate_each_epoch=False)
+        config = RunSpec.from_flat(n_workers=2, batch_size=8, epochs=1, lr=0.2, seed=0,
+                                max_iterations_per_epoch=3, evaluate_each_epoch=False).resolve()
         result = DistributedTrainer(smoke_lm_task, sparsifier, config).train()
         assert np.isfinite(result.logger.series("loss").values).all()
         assert result.mean_density() > 0
 
     def test_gtopk_density_does_not_build_up(self, smoke_lm_task):
         from repro.sparsifiers import build_sparsifier
-        from repro.training.trainer import DistributedTrainer, TrainingConfig
+        from repro.api import RunSpec
+        from repro.training.trainer import DistributedTrainer
 
         sparsifier = build_sparsifier("gtopk", 0.05)
-        config = TrainingConfig(n_workers=4, batch_size=8, epochs=1, lr=0.2, seed=0,
-                                max_iterations_per_epoch=3, evaluate_each_epoch=False)
+        config = RunSpec.from_flat(n_workers=4, batch_size=8, epochs=1, lr=0.2, seed=0,
+                                max_iterations_per_epoch=3, evaluate_each_epoch=False).resolve()
         result = DistributedTrainer(smoke_lm_task, sparsifier, config).train()
         assert result.mean_density() == pytest.approx(0.05, rel=0.1)

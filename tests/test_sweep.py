@@ -120,6 +120,32 @@ class TestGridExpansion:
                 "axes": {"robustness.aggregator": ["mean", "no_such_rule"]},
             })
 
+    @pytest.mark.parametrize("overlay, match", [
+        ({"cluster": {"workers": 4}}, r"unknown spec key cluster\.workers"),
+        ({"clutser": {}}, "unknown spec key clutser"),
+        ({"optimizer": None}, "'optimizer' must be a mapping"),
+        ({"cluster": {"n_workers": 0}}, "n_workers must be positive"),
+        ({"execution": {"local_steps": 0}}, "local_steps must be >= 1"),
+        ({"execution": {"max_staleness": -1}}, "max_staleness must be >= 0"),
+        ({"cluster": {"base_compute_seconds": -1}}, "base_compute_seconds must be positive"),
+    ])
+    def test_malformed_cell_fails_at_expansion_and_exits_2(
+        self, overlay, match, tmp_path, capsys
+    ):
+        """A misspelled key or an out-of-range knob is a malformed grid: it
+        is refused when the grid expands (``repro sweep --spec`` exits 2
+        with ``error: ...``), not once per cell at run time."""
+        from repro.cli import main
+
+        grid = {"base": TINY_BASE, "specs": [overlay]}
+        with pytest.raises(ValueError, match=match):
+            expand_grid(grid)
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid))
+        assert main(["sweep", "--spec", str(path), "--no-cache"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_load_grid_roundtrip(self, tmp_path):
         path = tmp_path / "grid.json"
         declared = {"base": TINY_BASE, "axes": {"seed": [0, 1]}}

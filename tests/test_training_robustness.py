@@ -5,7 +5,8 @@ import pytest
 
 from repro.experiments import robustness_grid
 from repro.sparsifiers import build_sparsifier
-from repro.training.trainer import DistributedTrainer, TrainingConfig
+from repro.api import RunSpec
+from repro.training.trainer import DistributedTrainer
 
 
 def run_short(
@@ -20,7 +21,7 @@ def run_short(
     **config_kwargs,
 ):
     sparsifier = build_sparsifier(sparsifier_name, density, **(sparsifier_kwargs or {}))
-    config = TrainingConfig(
+    config = RunSpec.from_flat(
         n_workers=n_workers,
         batch_size=8,
         epochs=1,
@@ -29,7 +30,7 @@ def run_short(
         max_iterations_per_epoch=iterations,
         evaluate_each_epoch=False,
         **config_kwargs,
-    )
+    ).resolve()
     trainer = DistributedTrainer(task, sparsifier, config)
     result = trainer.train()
     return trainer, result

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from repro.sparsifiers import build_sparsifier
-from repro.training.trainer import DistributedTrainer, TrainingConfig
+from repro.api import RunSpec
+from repro.training.trainer import DistributedTrainer
 
 
 def run_short(task, sparsifier_name, density, n_workers=2, iterations=3, lr=0.2, seed=0, **sparsifier_kwargs):
     sparsifier = build_sparsifier(sparsifier_name, density, **sparsifier_kwargs)
-    config = TrainingConfig(
+    config = RunSpec.from_flat(
         n_workers=n_workers,
         batch_size=8,
         epochs=1,
@@ -17,7 +18,7 @@ def run_short(task, sparsifier_name, density, n_workers=2, iterations=3, lr=0.2,
         seed=seed,
         max_iterations_per_epoch=iterations,
         evaluate_each_epoch=False,
-    )
+    ).resolve()
     trainer = DistributedTrainer(task, sparsifier, config)
     result = trainer.train()
     return trainer, result
@@ -39,8 +40,8 @@ class TestTrainerBasics:
         from repro.comm import SimulatedBackend
 
         sparsifier = build_sparsifier("topk", 0.05)
-        config = TrainingConfig(n_workers=4)
-        with pytest.raises(ValueError):
+        config = RunSpec.from_flat(n_workers=4).resolve()
+        with pytest.raises(ValueError, match="worker count"):
             DistributedTrainer(smoke_lm_task, sparsifier, config, backend=SimulatedBackend(2))
 
     def test_loss_decreases_over_training(self, smoke_lm_task):
@@ -50,7 +51,7 @@ class TestTrainerBasics:
 
     def test_evaluation_metric_logged_per_epoch(self, smoke_lm_task):
         sparsifier = build_sparsifier("deft", 0.05)
-        config = TrainingConfig(n_workers=2, batch_size=8, epochs=2, lr=0.2, seed=0, max_iterations_per_epoch=2)
+        config = RunSpec.from_flat(n_workers=2, batch_size=8, epochs=2, lr=0.2, seed=0, max_iterations_per_epoch=2).resolve()
         result = DistributedTrainer(smoke_lm_task, sparsifier, config).train()
         assert len(result.logger.series("perplexity")) == 2
         assert result.epochs_run == 2
