@@ -7,6 +7,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.training.trainer import TrainingResult
+from repro.utils.topk_ops import union_indices
 
 __all__ = ["density_trace", "density_statistics", "buildup_factor", "union_density"]
 
@@ -48,5 +49,5 @@ def union_density(per_worker_indices: Sequence[np.ndarray], n_gradients: int) ->
         raise ValueError("n_gradients must be positive")
     if not per_worker_indices:
         return 0.0
-    union = np.unique(np.concatenate([np.asarray(ix, dtype=np.int64) for ix in per_worker_indices]))
+    union = union_indices(np.concatenate([np.asarray(ix, dtype=np.int64) for ix in per_worker_indices]))
     return float(union.shape[0]) / float(n_gradients)

@@ -29,6 +29,9 @@ Rules
     ``RunSpec.to_argv`` round-trips through the train parser (whose spec
     flags are generated from the spec fields) and the live API surface
     matches ``tests/fixtures/api_surface.json``.
+``undeclared-dependency``
+    Every third-party module imported under the package is declared in
+    ``setup.py``'s ``install_requires``.
 
 Findings are suppressed with ``# repro: <directive>(<reason>)`` pragmas
 on the offending line or the comment line directly above it; see

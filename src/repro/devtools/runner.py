@@ -2,7 +2,7 @@
 
 ``run_lint`` applies the per-file AST rules to every discovered source
 file and, when enabled, the semi-static project rules (plugin contracts,
-metering parity, API drift) once per invocation.  The CLI surface lives
+metering parity, API drift, declared dependencies) once per invocation.  The CLI surface lives
 here too so both ``repro lint`` and ``scripts/lint.py`` share one
 implementation.
 
@@ -56,16 +56,18 @@ def _semistatic_registry() -> Dict[str, Callable[[], List[Finding]]]:
     # which per-file linting of arbitrary paths must not require.
     from repro.devtools.api_drift import check_api_drift
     from repro.devtools.contracts import check_plugin_contracts
+    from repro.devtools.dependencies import check_declared_dependencies
     from repro.devtools.parity import check_metering_parity
 
     return {
         "plugin-contract": check_plugin_contracts,
         "metering-parity": check_metering_parity,
         "api-drift": check_api_drift,
+        "undeclared-dependency": check_declared_dependencies,
     }
 
 
-SEMISTATIC_RULES = ("plugin-contract", "metering-parity", "api-drift")
+SEMISTATIC_RULES = ("plugin-contract", "metering-parity", "api-drift", "undeclared-dependency")
 
 ALL_RULE_NAMES = (
     "wallclock",

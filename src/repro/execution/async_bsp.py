@@ -38,6 +38,7 @@ import numpy as np
 from repro.execution.base import ExecutionModel, flatten_parameters, load_flat_parameters
 from repro.training.metrics import actual_density, mean_error_norm
 from repro.training.timing import IterationTiming
+from repro.utils.topk_ops import union_indices
 
 __all__ = ["AsyncBSPExecution"]
 
@@ -205,7 +206,7 @@ class AsyncBSPExecution(ExecutionModel):
             per_worker_indices.append(np.asarray(result.indices, dtype=np.int64))
             selection_seconds = max(selection_seconds, result.selection_seconds)
 
-        union = np.unique(np.concatenate(per_worker_indices))
+        union = union_indices(np.concatenate(per_worker_indices))
         matrix = np.stack([acc[union] for acc in accumulators])
         if hasattr(trainer.aggregator, "set_ages"):
             trainer.aggregator.set_ages(ages)

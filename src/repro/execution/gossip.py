@@ -35,6 +35,7 @@ import numpy as np
 from repro.execution.base import ExecutionModel, flatten_parameters, load_flat_parameters
 from repro.training.metrics import actual_density, mean_error_norm
 from repro.training.timing import IterationTiming
+from repro.utils.topk_ops import union_indices
 
 __all__ = ["GossipExecution"]
 
@@ -199,7 +200,7 @@ class GossipExecution(ExecutionModel):
 
         for rank in range(n_workers):
             group = [rank] + self._neighbors[rank]
-            union = np.unique(np.concatenate([selections[j] for j in group]))
+            union = union_indices(np.concatenate([selections[j] for j in group]))
             average = np.zeros(union.shape[0], dtype=np.float64)
             for j in group:
                 positions = np.searchsorted(union, selections[j])
@@ -225,7 +226,7 @@ class GossipExecution(ExecutionModel):
             )
         )
 
-        global_union = np.unique(np.concatenate(selections))
+        global_union = union_indices(np.concatenate(selections))
         density = actual_density(int(global_union.shape[0]), trainer.n_gradients)
         error = mean_error_norm([m.error_norm() for m in trainer.memories])
         metrics = {

@@ -54,7 +54,8 @@ class CLTKSparsifier(Sparsifier):
         k = self.global_k
         start = time.perf_counter()
         # Every worker contributes at the broadcast index *set*; ordering is
-        # irrelevant (the trainer np.unique-sorts the union), so skip the sort.
+        # irrelevant (the trainer sorts the union with union_indices), so
+        # skip the sort.
         indices = topk_indices(
             np.asarray(acc_per_worker[leader]).reshape(-1), k, sort=False
         )

@@ -59,7 +59,7 @@ def layerwise_select(
             continue
         segment = flat[partition.start : partition.end]
         # Only the selected *set* matters (the union is disjoint by
-        # construction and np.unique-sorted downstream): skip the sort.
+        # construction and sorted by union_indices downstream): skip the sort.
         local_idx = topk_indices(segment, k, sort=False)
         pieces.append(local_idx + partition.start)
         k_target += min(k, partition.size)

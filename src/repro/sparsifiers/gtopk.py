@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.comm.backend import CollectiveBackend
 from repro.sparsifiers.base import SelectionResult, Sparsifier
-from repro.utils.topk_ops import topk_indices
+from repro.utils.topk_ops import topk_indices, union_indices
 
 __all__ = ["GlobalTopKSparsifier"]
 
@@ -53,7 +53,7 @@ class GlobalTopKSparsifier(Sparsifier):
         self._require_setup()
         k = self.global_k
         start = time.perf_counter()
-        # Candidates feed an unordered union (np.unique below): skip the sort.
+        # Candidates feed a union that union_indices sorts below: skip the sort.
         local_indices = [
             topk_indices(np.asarray(acc).reshape(-1), k, sort=False)
             for acc in acc_per_worker
@@ -62,9 +62,9 @@ class GlobalTopKSparsifier(Sparsifier):
 
         if backend is not None:
             gathered = backend.allgather(local_indices, tag="gtopk-candidates")
-            candidate_pool = np.unique(gathered[0].astype(np.int64))
+            candidate_pool = union_indices(gathered[0])
         else:
-            candidate_pool = np.unique(np.concatenate(local_indices).astype(np.int64))
+            candidate_pool = union_indices(np.concatenate(local_indices))
 
         # Rank candidates by the magnitude of the *summed* contribution, which
         # is what the model update will apply.

@@ -31,7 +31,7 @@ class TopKSparsifier(Sparsifier):
         layout = self._require_setup()
         k = self.global_k
         start = time.perf_counter()
-        # The trainer unions the gathered index sets with np.unique, so the
+        # The trainer unions the gathered index sets with union_indices, so the
         # per-worker ordering is irrelevant: skip the O(k log k) sort.
         indices = topk_indices(acc_flat, k, sort=False)
         elapsed = time.perf_counter() - start

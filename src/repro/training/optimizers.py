@@ -24,21 +24,32 @@ def gradient_layout_of(model: Module) -> List[Tuple[str, Tuple[int, ...]]]:
     return [(name, p.shape) for name, p in model.named_parameters()]
 
 
-def flatten_gradients(model: Module, zero_missing: bool = True) -> np.ndarray:
+def flatten_gradients(
+    model: Module, zero_missing: bool = True, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Concatenate all parameter gradients into one float64 vector.
 
     Parameters with no gradient contribute zeros when ``zero_missing`` is
-    true (otherwise an error is raised).
+    true (otherwise an error is raised).  With ``out`` (a float64 vector of
+    the model's gradient count) the gradients are written into it and it
+    is returned; otherwise a fresh vector is allocated.
     """
-    chunks: List[np.ndarray] = []
-    for name, param in model.named_parameters():
+    named = list(model.named_parameters())
+    if out is None:
+        out = np.empty(sum(param.size for _, param in named), dtype=np.float64)
+    offset = 0
+    for name, param in named:
+        end = offset + param.size
         if param.grad is None:
             if not zero_missing:
                 raise RuntimeError(f"parameter {name!r} has no gradient")
-            chunks.append(np.zeros(param.size, dtype=np.float64))
+            out[offset:end] = 0.0
         else:
-            chunks.append(np.asarray(param.grad, dtype=np.float64).reshape(-1))
-    return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.float64)
+            out[offset:end] = np.asarray(param.grad).reshape(-1)
+        offset = end
+    if offset != out.shape[0]:
+        raise ValueError(f"out has {out.shape[0]} elements, the model has {offset} gradients")
+    return out
 
 
 class SGD:

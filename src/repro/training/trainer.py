@@ -74,6 +74,7 @@ from repro.training.tasks import Task
 from repro.training.timing import IterationTiming, TimingAccumulator
 from repro.utils.logging import RunLogger
 from repro.utils.seeding import SeedSequenceFactory
+from repro.utils.topk_ops import union_indices
 
 if TYPE_CHECKING:  # repro.api builds on this module; importing it here would cycle
     from repro.api.spec import RunSpec
@@ -298,6 +299,10 @@ class DistributedTrainer:
         # union, which is re-zeroed after each apply).
         self._contrib_buffer = np.empty((n_workers, 0), dtype=np.float64)
         self._update_buffer = np.zeros(self.n_gradients, dtype=np.float64)
+        # One flat float64 gradient per rank, rewritten by every parent-side
+        # worker_gradient call (untouched pages cost nothing when the
+        # backend computes the gradients in its own processes).
+        self._grad_buffers = np.empty((n_workers, self.n_gradients), dtype=np.float64)
         # Compute offload: backends with real worker processes can evaluate
         # forward/backward off the parent -- but only for models whose
         # training forward mutates no shared module state.  Batch-norm
@@ -345,12 +350,14 @@ class DistributedTrainer:
         """Loss and flat gradient of one worker's batch on the current model.
 
         Execution models with diverging local parameters load the worker's
-        copy into the shared model before calling this.
+        copy into the shared model before calling this.  The gradient is
+        written into the rank's reused buffer: it stays valid until the
+        next ``worker_gradient`` call for the same ``rank``.
         """
         self.model.zero_grad()
         loss = self.task.compute_loss(self.model, batch)
         loss.backward()
-        grad_flat = flatten_gradients(self.model)
+        grad_flat = flatten_gradients(self.model, out=self._grad_buffers[rank])
         self.model.zero_grad()
         return float(loss.item()), grad_flat
 
@@ -365,6 +372,11 @@ class DistributedTrainer:
         whether the work ran parent-side or on the backend's worker
         processes (parameters round-trip float32→float64→float32 exactly,
         so the arithmetic is the same stream of operations either way).
+
+        Aliasing: a job's ``grad_flat`` may be the rank's reused gradient
+        buffer, valid until that rank's next :meth:`worker_gradient` (so
+        one rank must not appear twice in ``jobs``); callers that keep a
+        gradient past that point copy it.
         """
         if self._offload and jobs:
             return self.backend.compute_gradients(jobs)
@@ -428,7 +440,7 @@ class DistributedTrainer:
 
         # 5. All-gather of indices; the union is what every worker must send values for.
         gathered = self.backend.allgather(per_worker_indices, tag="indices")
-        global_indices = np.unique(gathered[0].astype(np.int64))
+        global_indices = union_indices(gathered[0])
 
         # 6. Aggregation of the selected values, then the model update.  The
         # mean keeps the paper's sum all-reduce; robust rules need each
@@ -751,6 +763,12 @@ class DistributedTrainer:
             # Session reads it after train() returns.
             if self._owns_backend:
                 self.backend.close()
+            # The schedule's back-reference closes a trainer <-> schedule
+            # reference cycle.  Dropping it lets reference counting free a
+            # finished (or aborted) run's gradient-sized buffers as soon as
+            # the caller lets go of the trainer, not at the next full
+            # garbage collection.
+            self.execution.trainer = None
         final_metrics = dict(last_summary)
         if not self.spec.optimizer.evaluate_each_epoch:
             final_metrics.update(self.task.evaluate(self.model))

@@ -3,7 +3,8 @@
 This package deliberately contains only small, dependency-free helpers:
 
 - :mod:`repro.utils.seeding` -- deterministic RNG management,
-- :mod:`repro.utils.topk_ops` -- NumPy top-k / threshold selection kernels,
+- :mod:`repro.utils.topk_ops` -- NumPy top-k / threshold selection kernels
+  and the index union of the exchange,
 - :mod:`repro.utils.binpack` -- bin-packing heuristics used by DEFT's layer
   allocation (and by its ablations),
 - :mod:`repro.utils.flatten` -- flattening / unflattening of per-layer
@@ -17,6 +18,7 @@ from repro.utils.topk_ops import (
     topk_threshold,
     threshold_indices,
     topk_values,
+    union_indices,
 )
 from repro.utils.binpack import (
     BinPackingResult,
@@ -36,6 +38,7 @@ __all__ = [
     "topk_threshold",
     "threshold_indices",
     "topk_values",
+    "union_indices",
     "BinPackingResult",
     "pack_greedy_min_bin",
     "pack_lpt",

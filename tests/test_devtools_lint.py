@@ -182,6 +182,36 @@ def test_capability_vocabulary_covers_every_declared_flag():
     assert declared <= set(CAPABILITY_VOCABULARY)
 
 
+def test_undeclared_dependency_fixture_flags_exactly_the_undeclared_imports():
+    from repro.devtools.dependencies import check_declared_dependencies
+
+    project = FIXTURES / "deps"
+    findings = check_declared_dependencies(source_root=project / "src" / "fixturepkg")
+    assert {f.rule for f in findings} == {"undeclared-dependency"}
+    flagged = {f.message.split("'")[1] for f in findings}
+    assert flagged == {"networkx", "yaml", "pandas"}
+    assert all(f.path == "src/fixturepkg/module.py" for f in findings)
+
+
+def test_undeclared_dependency_reads_install_requires_without_executing(tmp_path):
+    from repro.devtools.dependencies import check_declared_dependencies, declared_requirements
+
+    assert declared_requirements(FIXTURES / "deps" / "setup.py") == {"numpy", "scipy"}
+    missing = check_declared_dependencies(
+        source_root=FIXTURES / "deps" / "src" / "fixturepkg", setup_path=tmp_path / "setup.py"
+    )
+    assert [f.rule for f in missing] == ["undeclared-dependency"]
+    assert "setup.py not found" in missing[0].message
+
+
+def test_project_declares_every_third_party_import():
+    from repro.devtools.dependencies import check_declared_dependencies, declared_requirements
+    from repro.devtools.runner import default_root
+
+    assert check_declared_dependencies() == []
+    assert "networkx" in declared_requirements(default_root().parents[1] / "setup.py")
+
+
 def test_api_drift_clean_and_catches_stale_snapshot(tmp_path, monkeypatch):
     from repro.api import RunSpec
     from repro.devtools.api_drift import check_api_drift

@@ -30,8 +30,8 @@ class TestErrorFeedbackMemory:
         memory = ErrorFeedbackMemory(4)
         acc = memory.accumulate(np.array([1.0, 2.0, 3.0, 4.0]), lr=0.5)
         np.testing.assert_allclose(acc, [0.5, 1.0, 1.5, 2.0])
-        # The stored error is unchanged until update() is called.
-        assert memory.error_norm() == 0.0
+        # The accumulator is the memory's own buffer, not a copy.
+        assert acc is memory.error
 
     def test_update_zeroes_selected_and_keeps_rest(self):
         memory = ErrorFeedbackMemory(4)

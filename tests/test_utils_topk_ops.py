@@ -11,6 +11,7 @@ from repro.utils.topk_ops import (
     topk_indices,
     topk_threshold,
     topk_values,
+    union_indices,
 )
 
 
@@ -149,3 +150,61 @@ def test_threshold_consistency_with_topk(values, k):
     threshold = topk_threshold(values, k)
     idx = threshold_indices(values, threshold)
     assert idx.size >= k
+
+
+def _assert_same_as_unique(indices):
+    expected = np.unique(indices)
+    got = union_indices(indices)
+    assert got.dtype == expected.dtype == np.int64
+    np.testing.assert_array_equal(got, expected)
+
+
+class TestUnionIndices:
+    def test_empty(self):
+        _assert_same_as_unique(np.empty(0, dtype=np.int64))
+
+    def test_single_element(self):
+        _assert_same_as_unique(np.array([7], dtype=np.int64))
+
+    def test_all_equal(self):
+        _assert_same_as_unique(np.full(9, 3, dtype=np.int64))
+
+    def test_does_not_modify_input(self):
+        indices = np.array([5, 1, 5, 0], dtype=np.int64)
+        union_indices(indices)
+        assert indices.tolist() == [5, 1, 5, 0]
+
+
+int64_indices = hnp.arrays(
+    dtype=np.int64,
+    shape=st.integers(0, 300),
+    elements=st.integers(-(2**62), 2**62),
+)
+
+
+@given(indices=int64_indices)
+@settings(max_examples=100, deadline=None)
+def test_union_matches_unique_on_random_indices(indices):
+    _assert_same_as_unique(indices)
+
+
+@given(
+    indices=hnp.arrays(dtype=np.int64, shape=st.integers(0, 300), elements=st.integers(0, 20))
+)
+@settings(max_examples=100, deadline=None)
+def test_union_matches_unique_on_duplicate_heavy_indices(indices):
+    _assert_same_as_unique(indices)
+
+
+@given(
+    sizes=st.lists(st.integers(0, 40), min_size=1, max_size=8),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=100, deadline=None)
+def test_union_matches_unique_on_disjoint_per_rank_sets(sizes, seed):
+    """DEFT-style input: per-rank sets that are disjoint and unsorted,
+    concatenated in rank order."""
+    rng = np.random.default_rng(seed)
+    pool = rng.permutation(10 * sum(sizes) + 1)
+    pieces = np.split(pool[: sum(sizes)], np.cumsum(sizes)[:-1])
+    _assert_same_as_unique(np.concatenate(pieces).astype(np.int64))
