@@ -35,9 +35,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.execution.base import ExecutionModel, flatten_parameters, load_flat_parameters
-from repro.training.metrics import actual_density, mean_error_norm
-from repro.training.timing import IterationTiming
+from repro.execution.base import ExecutionModel, RoundRecord, flatten_parameters, load_flat_parameters
 from repro.utils.topk_ops import union_indices
 
 __all__ = ["AsyncBSPExecution"]
@@ -49,6 +47,7 @@ class AsyncBSPExecution(ExecutionModel):
     name = "async_bsp"
     has_local_models = True
     uses_parameter_server = True
+    round_counter = "rounds_total"
 
     def __init__(self, max_staleness: int = 4, **kwargs) -> None:
         super().__init__(**kwargs)
@@ -113,9 +112,6 @@ class AsyncBSPExecution(ExecutionModel):
             arrived = [r for r in range(n_workers) if next_done[r] <= round_time]
             # Never process more arrivals than the epoch budget allows.
             arrived = arrived[: budget - arrivals]
-            if not arrived:  # pragma: no cover - defensive, cannot happen
-                round_time = float(next_done.min())
-                arrived = [int(next_done.argmin())]
 
             metrics = self._apply_round(
                 trainer, server_params, snapshots, base_version, version, arrived, iterators,
@@ -275,58 +271,19 @@ class AsyncBSPExecution(ExecutionModel):
             for record in trainer.backend.meter.records[comm_records_before:]
         )
 
-        trainer.clock.advance_to(round_time + communication_seconds)
-        trainer.timing.add(
-            IterationTiming(
-                forward=trainer.speed_model.base_compute_seconds * 0.5,
-                backward=trainer.speed_model.base_compute_seconds * 0.5,
-                selection=selection_seconds,
-                communication=communication_seconds,
-                partition=0.0,
-            )
-        )
-
-        density = actual_density(int(union.shape[0]), trainer.n_gradients)
-        error = mean_error_norm([m.error_norm() for m in trainer.memories])
-        metrics = {
-            "loss": float(np.mean(losses)),
-            "density": density,
-            "error": error,
-            "k_global": float(union.shape[0]),
-            "staleness": float(ages.mean()),
-            "n_arrived": float(len(arrived)),
-            "lr": float(lr),
-        }
-        it = trainer.iteration
-        trainer.logger.log_scalar("loss", it, metrics["loss"])
-        trainer.logger.log_scalar("density", it, density)
-        trainer.logger.log_scalar("error", it, error)
-        trainer.logger.log_scalar("k_global", it, metrics["k_global"])
-        trainer.logger.log_scalar("staleness", it, metrics["staleness"])
-        trainer.logger.log_scalar("n_arrived", it, metrics["n_arrived"])
-        trainer.logger.log_scalar("selection_seconds", it, selection_seconds)
-        trainer.logger.log_scalar("communication_seconds", it, communication_seconds)
-        trainer.logger.log_scalar("communication_elements", it, float(comm_elements))
-        trainer.logger.log_scalar("virtual_time", it, trainer.clock.now)
         if trainer.obs.metrics_enabled:
             obs_metrics = trainer.obs.metrics
-            obs_metrics.counter("rounds_total").inc()
-            obs_metrics.gauge("virtual_time_seconds").set(trainer.clock.now)
             obs_metrics.histogram("arrivals_per_round").observe(float(len(arrived)))
             staleness = obs_metrics.histogram("staleness_observed")
             for age in ages:
                 staleness.observe(float(age))
-        if trainer.obs.events.has_subscribers("round_complete"):
-            trainer.obs.events.emit(
-                "round_complete",
-                {
-                    "iteration": it,
-                    "schedule": self.name,
-                    "version": version,
-                    "arrived": list(arrived),
-                    "metrics": dict(metrics),
-                    "virtual_time": trainer.clock.now,
-                },
+        return self.finish_round(
+            RoundRecord(
+                losses=losses, lr=lr, union_size=int(union.shape[0]),
+                communication=communication_seconds, communication_elements=float(comm_elements),
+                compute=trainer.speed_model.base_compute_seconds, selection=selection_seconds,
+                extras={"staleness": float(ages.mean()), "n_arrived": float(len(arrived))},
+                event={"version": version, "arrived": list(arrived)},
+                round_end=round_time + communication_seconds,
             )
-        trainer.iteration += 1
-        return metrics
+        )

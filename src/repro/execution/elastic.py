@@ -22,9 +22,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.execution.base import ExecutionModel, flatten_parameters, load_flat_parameters
-from repro.training.metrics import mean_error_norm
-from repro.training.timing import IterationTiming
+from repro.execution.base import ExecutionModel, RoundRecord, flatten_parameters, load_flat_parameters
 
 __all__ = ["ElasticAveragingExecution"]
 
@@ -76,24 +74,16 @@ class ElasticAveragingExecution(ExecutionModel):
     # ------------------------------------------------------------------ #
     def run(self) -> Dict[str, float]:
         trainer = self._require_trainer()
-        n_workers = trainer.n_workers
         center = flatten_parameters(trainer.model)
-        local_params = [center.copy() for _ in range(n_workers)]
+        local_params = [center.copy() for _ in range(trainer.n_workers)]
 
-        last_summary: Dict[str, float] = {}
-        for epoch in range(trainer.spec.optimizer.epochs):
-            iterators = [iter(loader) for loader in trainer.loaders]
-            n_iterations = trainer.epoch_iteration_budget()
-            epoch_metrics: List[Dict[str, float]] = []
-            for step in range(n_iterations):
-                batches = [next(it) for it in iterators]
-                lr = trainer.schedule.lr_at(trainer.iteration)
-                sync_now = (step + 1) % self.local_steps == 0 or step == n_iterations - 1
-                metrics = self._iteration(trainer, batches, lr, local_params, center, sync_now)
-                epoch_metrics.append(metrics)
-            load_flat_parameters(trainer.model, center)
-            last_summary = trainer.log_epoch_summary(epoch, epoch_metrics)
-        return last_summary
+        def step(batches, lr: float, index: int, n_iterations: int) -> Dict[str, float]:
+            sync_now = (index + 1) % self.local_steps == 0 or index == n_iterations - 1
+            return self._iteration(trainer, batches, lr, local_params, center, sync_now)
+
+        return self.run_lockstep(
+            step, after_epoch=lambda: load_flat_parameters(trainer.model, center)
+        )
 
     # ------------------------------------------------------------------ #
     def _iteration(
@@ -188,51 +178,10 @@ class ElasticAveragingExecution(ExecutionModel):
                     elements=int(comm_elements),
                 )
 
-        trainer.clock.advance_all(trainer.speed_model.slowest_batch_seconds() + communication_seconds)
-        trainer.timing.add(
-            IterationTiming(
-                forward=trainer.speed_model.slowest_batch_seconds() * 0.5,
-                backward=trainer.speed_model.slowest_batch_seconds() * 0.5,
-                selection=0.0,
-                communication=communication_seconds,
-                partition=0.0,
+        return self.finish_round(
+            RoundRecord(
+                losses=losses, lr=lr, union_size=trainer.n_gradients if sync_now else 0,
+                communication=communication_seconds, communication_elements=float(comm_elements),
+                extras={"elastic_spread": spread}, sync=sync_now,
             )
         )
-
-        error = mean_error_norm([m.error_norm() for m in trainer.memories])
-        metrics = {
-            "loss": float(losses.mean()),
-            "density": 1.0 if sync_now else 0.0,
-            "error": error,
-            "k_global": float(trainer.n_gradients if sync_now else 0),
-            "elastic_spread": spread,
-            "lr": float(lr),
-        }
-        it = trainer.iteration
-        trainer.logger.log_scalar("loss", it, metrics["loss"])
-        trainer.logger.log_scalar("density", it, metrics["density"])
-        trainer.logger.log_scalar("error", it, error)
-        trainer.logger.log_scalar("k_global", it, metrics["k_global"])
-        trainer.logger.log_scalar("elastic_spread", it, spread)
-        trainer.logger.log_scalar("communication_seconds", it, communication_seconds)
-        trainer.logger.log_scalar("communication_elements", it, float(comm_elements))
-        trainer.logger.log_scalar("virtual_time", it, trainer.clock.now)
-        if trainer.obs.metrics_enabled:
-            obs_metrics = trainer.obs.metrics
-            obs_metrics.counter("iterations_total").inc()
-            if sync_now:
-                obs_metrics.counter("sync_rounds_total").inc()
-            obs_metrics.gauge("virtual_time_seconds").set(trainer.clock.now)
-        if trainer.obs.events.has_subscribers("round_complete"):
-            trainer.obs.events.emit(
-                "round_complete",
-                {
-                    "iteration": it,
-                    "schedule": self.name,
-                    "sync": bool(sync_now),
-                    "metrics": dict(metrics),
-                    "virtual_time": trainer.clock.now,
-                },
-            )
-        trainer.iteration += 1
-        return metrics

@@ -32,9 +32,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.execution.base import ExecutionModel, flatten_parameters, load_flat_parameters
-from repro.training.metrics import actual_density, mean_error_norm
-from repro.training.timing import IterationTiming
+from repro.execution.base import ExecutionModel, RoundRecord, flatten_parameters, load_flat_parameters
 from repro.utils.topk_ops import union_indices
 
 __all__ = ["GossipExecution"]
@@ -90,23 +88,15 @@ class GossipExecution(ExecutionModel):
     # ------------------------------------------------------------------ #
     def run(self) -> Dict[str, float]:
         trainer = self._require_trainer()
-        n_workers = trainer.n_workers
         reference = flatten_parameters(trainer.model)
-        local_params = [reference.copy() for _ in range(n_workers)]
-
-        last_summary: Dict[str, float] = {}
-        for epoch in range(trainer.spec.optimizer.epochs):
-            iterators = [iter(loader) for loader in trainer.loaders]
-            n_iterations = trainer.epoch_iteration_budget()
-            epoch_metrics: List[Dict[str, float]] = []
-            for _ in range(n_iterations):
-                batches = [next(it) for it in iterators]
-                lr = trainer.schedule.lr_at(trainer.iteration)
-                epoch_metrics.append(self._iteration(trainer, batches, lr, local_params))
+        local_params = [reference.copy() for _ in range(trainer.n_workers)]
+        return self.run_lockstep(
+            lambda batches, lr, *_: self._iteration(trainer, batches, lr, local_params),
             # Consensus average for evaluation and the epoch summary.
-            load_flat_parameters(trainer.model, np.mean(local_params, axis=0))
-            last_summary = trainer.log_epoch_summary(epoch, epoch_metrics)
-        return last_summary
+            after_epoch=lambda: load_flat_parameters(
+                trainer.model, np.mean(local_params, axis=0)
+            ),
+        )
 
     # ------------------------------------------------------------------ #
     def _iteration(
@@ -212,54 +202,13 @@ class GossipExecution(ExecutionModel):
         for rank in range(n_workers):
             trainer.memories[rank].update(honest_accumulators[rank], selections[rank])
 
-        # Lock-step round on the virtual clock.
-        trainer.clock.advance_all(
-            trainer.speed_model.slowest_batch_seconds() + communication_seconds
-        )
-        trainer.timing.add(
-            IterationTiming(
-                forward=trainer.speed_model.slowest_batch_seconds() * 0.5,
-                backward=trainer.speed_model.slowest_batch_seconds() * 0.5,
-                selection=selection_seconds,
-                communication=communication_seconds,
-                partition=0.0,
-            )
-        )
-
-        global_union = union_indices(np.concatenate(selections))
-        density = actual_density(int(global_union.shape[0]), trainer.n_gradients)
-        error = mean_error_norm([m.error_norm() for m in trainer.memories])
-        metrics = {
-            "loss": float(losses.mean()),
-            "density": density,
-            "error": error,
-            "k_global": float(global_union.shape[0]),
-            "lr": float(lr),
-        }
-        it = trainer.iteration
-        trainer.logger.log_scalar("loss", it, metrics["loss"])
-        trainer.logger.log_scalar("density", it, density)
-        trainer.logger.log_scalar("error", it, error)
-        trainer.logger.log_scalar("k_global", it, metrics["k_global"])
-        trainer.logger.log_scalar("selection_seconds", it, selection_seconds)
-        trainer.logger.log_scalar("communication_seconds", it, communication_seconds)
-        trainer.logger.log_scalar("communication_elements", it, float(comm_elements))
-        trainer.logger.log_scalar("virtual_time", it, trainer.clock.now)
         if trainer.obs.metrics_enabled:
-            obs_metrics = trainer.obs.metrics
-            obs_metrics.counter("iterations_total").inc()
-            obs_metrics.gauge("virtual_time_seconds").set(trainer.clock.now)
-            obs_metrics.histogram("communication_seconds").observe(communication_seconds)
-            obs_metrics.histogram("communication_elements").observe(float(comm_elements))
-        if trainer.obs.events.has_subscribers("round_complete"):
-            trainer.obs.events.emit(
-                "round_complete",
-                {
-                    "iteration": it,
-                    "schedule": self.name,
-                    "metrics": dict(metrics),
-                    "virtual_time": trainer.clock.now,
-                },
+            trainer.obs.metrics.histogram("communication_seconds").observe(communication_seconds)
+            trainer.obs.metrics.histogram("communication_elements").observe(float(comm_elements))
+        return self.finish_round(
+            RoundRecord(
+                losses=losses, lr=lr, union_size=int(union_indices(np.concatenate(selections)).shape[0]),
+                communication=communication_seconds, communication_elements=float(comm_elements),
+                selection=selection_seconds,
             )
-        trainer.iteration += 1
-        return metrics
+        )

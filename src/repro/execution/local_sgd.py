@@ -29,9 +29,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.execution.base import ExecutionModel, flatten_parameters, load_flat_parameters
-from repro.training.metrics import actual_density, mean_error_norm
-from repro.training.timing import IterationTiming
+from repro.execution.base import ExecutionModel, RoundRecord, flatten_parameters, load_flat_parameters
 
 __all__ = ["LocalSGDExecution"]
 
@@ -52,28 +50,20 @@ class LocalSGDExecution(ExecutionModel):
     # ------------------------------------------------------------------ #
     def run(self) -> Dict[str, float]:
         trainer = self._require_trainer()
-        n_workers = trainer.n_workers
         reference = flatten_parameters(trainer.model)
-        local_params = [reference.copy() for _ in range(n_workers)]
+        local_params = [reference.copy() for _ in range(trainer.n_workers)]
 
-        last_summary: Dict[str, float] = {}
-        for epoch in range(trainer.spec.optimizer.epochs):
-            iterators = [iter(loader) for loader in trainer.loaders]
-            n_iterations = trainer.epoch_iteration_budget()
-            epoch_metrics: List[Dict[str, float]] = []
-            for step in range(n_iterations):
-                batches = [next(it) for it in iterators]
-                lr = trainer.schedule.lr_at(trainer.iteration)
-                sync_now = (step + 1) % self.local_steps == 0 or step == n_iterations - 1
-                metrics = self._iteration(trainer, batches, lr, local_params, reference, sync_now)
-                if sync_now:
-                    reference = flatten_parameters(trainer.model)
-                    for rank in range(n_workers):
-                        local_params[rank] = reference.copy()
-                epoch_metrics.append(metrics)
-            # The shared model already holds the last sync result.
-            last_summary = trainer.log_epoch_summary(epoch, epoch_metrics)
-        return last_summary
+        def step(batches, lr: float, index: int, n_iterations: int) -> Dict[str, float]:
+            nonlocal reference
+            sync_now = (index + 1) % self.local_steps == 0 or index == n_iterations - 1
+            metrics = self._iteration(trainer, batches, lr, local_params, reference, sync_now)
+            if sync_now:
+                reference = flatten_parameters(trainer.model)
+                local_params[:] = [reference.copy() for _ in local_params]
+            return metrics
+
+        # The shared model already holds the last sync result.
+        return self.run_lockstep(step)
 
     # ------------------------------------------------------------------ #
     def _iteration(
@@ -112,77 +102,31 @@ class LocalSGDExecution(ExecutionModel):
                     sync=bool(sync_now),
                 )
 
-        communication_seconds = 0.0
-        density = 0.0
-        k_global = 0.0
-        comm_elements = 0.0
-        selection_seconds = 0.0
-        partition_seconds = 0.0
-        if sync_now:
-            # Contribution: the parameter delta since the last sync, through
-            # the full Algorithm-1 sparsify/aggregate path (lr already baked
-            # into the local steps, so accumulate with lr=1).
-            deltas = [reference - params for params in local_params]
-            accumulators = [
-                trainer.memories[rank].accumulate(deltas[rank], 1.0) for rank in range(n_workers)
-            ]
-            honest_accumulators = accumulators
-            if trainer.adversary.n_byzantine:
-                accumulators = trainer.adversary.corrupt_accumulators(trainer.iteration, accumulators)
-            load_flat_parameters(trainer.model, reference)
-            exchange = trainer.sparse_exchange(accumulators, honest_accumulators)
-            communication_seconds = exchange["communication_seconds"]
-            density = actual_density(int(exchange["global_indices"].shape[0]), trainer.n_gradients)
-            k_global = float(exchange["global_indices"].shape[0])
-            comm_elements = float(exchange["comm_elements"])
-            selection_seconds = float(exchange["selection_times"].max())
-            partition_seconds = float(exchange["partition_times"].max())
-
-        trainer.clock.advance_all(trainer.speed_model.slowest_batch_seconds() + communication_seconds)
-        trainer.timing.add(
-            IterationTiming(
-                forward=trainer.speed_model.slowest_batch_seconds() * 0.5,
-                backward=trainer.speed_model.slowest_batch_seconds() * 0.5,
-                selection=selection_seconds,
-                communication=communication_seconds,
-                partition=partition_seconds,
+        if not sync_now:
+            return self.finish_round(
+                RoundRecord(
+                    losses=losses, lr=lr, union_size=0, communication=0.0,
+                    communication_elements=0.0, selection=0.0, partition=0.0, sync=False,
+                )
+            )
+        # Contribution: the parameter delta since the last sync, through the
+        # full Algorithm-1 sparsify/aggregate path (lr already baked into
+        # the local steps, so accumulate with lr=1).
+        deltas = [reference - params for params in local_params]
+        accumulators = [
+            trainer.memories[rank].accumulate(deltas[rank], 1.0) for rank in range(n_workers)
+        ]
+        honest_accumulators = accumulators
+        if trainer.adversary.n_byzantine:
+            accumulators = trainer.adversary.corrupt_accumulators(trainer.iteration, accumulators)
+        load_flat_parameters(trainer.model, reference)
+        exchange = trainer.sparse_exchange(accumulators, honest_accumulators)
+        return self.finish_round(
+            RoundRecord(
+                losses=losses, lr=lr, union_size=int(exchange["global_indices"].shape[0]),
+                communication=exchange["communication_seconds"],
+                communication_elements=float(exchange["comm_elements"]),
+                selection=float(exchange["selection_times"].max()),
+                partition=float(exchange["partition_times"].max()), sync=True,
             )
         )
-
-        error = mean_error_norm([m.error_norm() for m in trainer.memories])
-        metrics = {
-            "loss": float(losses.mean()),
-            "density": density,
-            "error": error,
-            "k_global": k_global,
-            "lr": float(lr),
-        }
-        it = trainer.iteration
-        trainer.logger.log_scalar("loss", it, metrics["loss"])
-        trainer.logger.log_scalar("density", it, density)
-        trainer.logger.log_scalar("error", it, error)
-        trainer.logger.log_scalar("k_global", it, k_global)
-        trainer.logger.log_scalar("selection_seconds", it, selection_seconds)
-        trainer.logger.log_scalar("communication_seconds", it, communication_seconds)
-        trainer.logger.log_scalar("communication_elements", it, comm_elements)
-        trainer.logger.log_scalar("partition_seconds", it, partition_seconds)
-        trainer.logger.log_scalar("virtual_time", it, trainer.clock.now)
-        if trainer.obs.metrics_enabled:
-            obs_metrics = trainer.obs.metrics
-            obs_metrics.counter("iterations_total").inc()
-            if sync_now:
-                obs_metrics.counter("sync_rounds_total").inc()
-            obs_metrics.gauge("virtual_time_seconds").set(trainer.clock.now)
-        if trainer.obs.events.has_subscribers("round_complete"):
-            trainer.obs.events.emit(
-                "round_complete",
-                {
-                    "iteration": it,
-                    "schedule": self.name,
-                    "sync": bool(sync_now),
-                    "metrics": dict(metrics),
-                    "virtual_time": trainer.clock.now,
-                },
-            )
-        trainer.iteration += 1
-        return metrics

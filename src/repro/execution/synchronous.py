@@ -1,10 +1,10 @@
-"""Bulk-synchronous execution: the paper's Algorithm 1 loop, verbatim.
+"""Bulk-synchronous execution: the paper's Algorithm 1 loop.
 
-This is the pre-refactor :class:`DistributedTrainer` epoch loop extracted
-behind the :class:`ExecutionModel` interface.  It delegates straight to
-``trainer.train_epoch`` so a benign run under ``synchronous`` is
-bit-identical to the trainer before execution models existed: the same
-batches, the same RNG consumption order, the same loss series.
+Every round each worker draws one batch and the group runs
+:meth:`~repro.training.trainer.DistributedTrainer.train_iteration` --
+local gradients, error-feedback accumulation, then the sparsified exchange
+-- inside the shared lock-step epoch loop
+(:meth:`~repro.execution.base.ExecutionModel.run_lockstep`).
 
 On the virtual clock every round costs ``max_r(compute_r) + collectives``:
 the whole group waits for the slowest worker, which is exactly the
@@ -29,7 +29,4 @@ class SynchronousExecution(ExecutionModel):
 
     def run(self) -> Dict[str, float]:
         trainer = self._require_trainer()
-        last_summary: Dict[str, float] = {}
-        for epoch in range(trainer.spec.optimizer.epochs):
-            last_summary = trainer.train_epoch(epoch)
-        return last_summary
+        return self.run_lockstep(lambda batches, lr, *_: trainer.train_iteration(batches, lr))

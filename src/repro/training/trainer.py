@@ -62,16 +62,15 @@ from repro.comm.cost_model import AlphaBetaModel
 from repro.data.dataloader import DataLoader
 from repro.data.partition import shard_dataset
 from repro.comm.backend import CollectiveBackend
-from repro.execution.base import ExecutionModel, load_flat_parameters
+from repro.execution.base import ExecutionModel, RoundRecord, load_flat_parameters
 from repro.execution.straggler import VirtualClock, WorkerSpeedModel
 from repro.observability import Observability
 from repro.sparsifiers.base import GradientLayout, Sparsifier
 from repro.training.error_feedback import ErrorFeedbackMemory
 from repro.training.lr_schedule import ConstantLR
-from repro.training.metrics import actual_density, mean_error_norm
 from repro.training.optimizers import SGD, flatten_gradients
 from repro.training.tasks import Task
-from repro.training.timing import IterationTiming, TimingAccumulator
+from repro.training.timing import TimingAccumulator
 from repro.utils.logging import RunLogger
 from repro.utils.seeding import SeedSequenceFactory
 from repro.utils.topk_ops import union_indices
@@ -583,64 +582,25 @@ class DistributedTrainer:
 
         # 3-7. Coordinate, select, aggregate, apply, error-feedback update.
         exchange = self.sparse_exchange(accumulators, honest_accumulators)
-        global_indices = exchange["global_indices"]
-        communication_seconds = exchange["communication_seconds"]
-
-        # Lock-step round on the virtual clock: everyone waits for the
-        # slowest worker's compute, then pays the collective time.
-        self.clock.advance_all(self.speed_model.slowest_batch_seconds() + communication_seconds)
-
-        timing = IterationTiming(
-            forward=float(forward_backward_times.max() * 0.5),
-            backward=float(forward_backward_times.max() * 0.5),
-            selection=float(exchange["selection_times"].max()),
-            communication=float(communication_seconds),
-            partition=float(exchange["partition_times"].max()),
+        metrics = self.execution.finish_round(
+            RoundRecord(
+                losses=losses, lr=lr, union_size=int(exchange["global_indices"].shape[0]),
+                communication=exchange["communication_seconds"],
+                communication_elements=float(exchange["comm_elements"]),
+                compute=float(forward_backward_times.max()),
+                selection=float(exchange["selection_times"].max()),
+                partition=float(exchange["partition_times"].max()),
+                selection_cost=float(exchange["analytic_costs"].max()),
+                k_local=exchange["per_worker_k"],
+            )
         )
-        self.timing.add(timing)
-
-        density = actual_density(int(global_indices.shape[0]), self.n_gradients)
-        error = mean_error_norm([m.error_norm() for m in self.memories])
-        metrics = {
-            "loss": float(losses.mean()),
-            "density": density,
-            "error": error,
-            "k_global": float(global_indices.shape[0]),
-            "k_local_mean": float(exchange["per_worker_k"].mean()),
-            "lr": float(lr),
-        }
-
-        self.logger.log_scalar("loss", self.iteration, metrics["loss"])
-        self.logger.log_scalar("density", self.iteration, density)
-        self.logger.log_scalar("error", self.iteration, error)
-        self.logger.log_scalar("k_global", self.iteration, metrics["k_global"])
-        self.logger.log_scalar("selection_seconds", self.iteration, timing.selection)
-        self.logger.log_scalar("selection_cost_analytic", self.iteration, float(exchange["analytic_costs"].max()))
-        self.logger.log_scalar("communication_seconds", self.iteration, timing.communication)
-        self.logger.log_scalar("communication_elements", self.iteration, float(exchange["comm_elements"]))
-        self.logger.log_scalar("partition_seconds", self.iteration, timing.partition)
-        self.logger.log_scalar("virtual_time", self.iteration, self.clock.now)
         if self.obs.metrics_enabled:
-            obs_metrics = self.obs.metrics
-            obs_metrics.counter("iterations_total").inc()
-            obs_metrics.gauge("virtual_time_seconds").set(self.clock.now)
             # Straggler idle time: in a lock-step round every worker waits
             # for the slowest one's compute.
             slowest = self.speed_model.slowest_batch_seconds()
-            idle = obs_metrics.histogram("worker_idle_seconds")
+            idle = self.obs.metrics.histogram("worker_idle_seconds")
             for rank in range(n_workers):
                 idle.observe(slowest - self.speed_model.batch_seconds(rank))
-        if self.obs.events.has_subscribers("round_complete"):
-            self.obs.events.emit(
-                "round_complete",
-                {
-                    "iteration": self.iteration,
-                    "schedule": "lock_step",
-                    "metrics": dict(metrics),
-                    "virtual_time": self.clock.now,
-                },
-            )
-        self.iteration += 1
         return metrics
 
     def point_to_point_seconds(
@@ -740,17 +700,6 @@ class DistributedTrainer:
                 self.logger.log_scalar(key, epoch, value)
             summary.update(evaluation)
         return summary
-
-    def train_epoch(self, epoch: int) -> Dict[str, float]:
-        """Run one lock-step epoch (each worker does one pass over its shard)."""
-        iterators = [iter(loader) for loader in self.loaders]
-        n_iterations = self.epoch_iteration_budget()
-        epoch_metrics: List[Dict[str, float]] = []
-        for _ in range(n_iterations):
-            batches = [next(it) for it in iterators]
-            lr = self.schedule.lr_at(self.iteration)
-            epoch_metrics.append(self.train_iteration(batches, lr))
-        return self.log_epoch_summary(epoch, epoch_metrics)
 
     def train(self) -> TrainingResult:
         """Run the configured schedule over all epochs and return the result."""

@@ -141,7 +141,7 @@ class TestLiveMonitor:
         assert monitor.rounds == result.iterations_run
         records = [json.loads(line) for line in lines]
         assert [r["round"] for r in records] == list(range(len(records)))
-        assert all(r["schedule"] == "lock_step" for r in records)
+        assert all(r["schedule"] == "synchronous" for r in records)
         assert all(r["staleness_p95"] is None for r in records)
         # Virtual time advances monotonically round over round.
         times = [r["virtual_time"] for r in records]

@@ -10,8 +10,12 @@ or rearranged without any schedule's observable output drifting.
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.api import RunSpec, Session
 
 ROUND_SERIES = {"communication_elements", "communication_seconds", "density", "error",
@@ -98,6 +102,7 @@ def test_round_complete_payload_keys(run):
     assert [p["iteration"] for p in payloads] == list(range(result.iterations_run))
     for payload in payloads:
         assert set(payload) == CONTRACT[model]["payload"]
+        assert payload["schedule"] == model
         assert set(payload["metrics"]) == ROUND_METRICS | CONTRACT[model]["metrics"]
 
 
@@ -145,3 +150,34 @@ def test_round_counters(run):
         sync_rounds = sum(1 for p in payloads if p["sync"])
         assert sync_rounds > 0
         assert counters["sync_rounds_total"] == sync_rounds
+
+
+def _round_tail_calls(tree: ast.AST):
+    """Names of the round-tail calls in a module: timing records, the error
+    metric and ``round_complete`` emissions."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in ("IterationTiming", "mean_error_norm"):
+            yield name
+        elif (
+            name == "emit"
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
+            and node.args[0].value == "round_complete"
+        ):
+            yield "emit(round_complete)"
+
+
+def test_round_tail_lives_only_in_finish_round():
+    package = Path(repro.__file__).parent
+    found = {}
+    for path in sorted(package.rglob("*.py")):
+        calls = sorted(set(_round_tail_calls(ast.parse(path.read_text(), filename=str(path)))))
+        if calls:
+            found[path.relative_to(package).as_posix()] = calls
+    assert found == {
+        "execution/base.py": ["IterationTiming", "emit(round_complete)", "mean_error_norm"]
+    }
