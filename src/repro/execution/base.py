@@ -64,7 +64,7 @@ class RoundRecord:
     series and counts as zero in the round's ``IterationTiming``.
     """
 
-    losses: Sequence[float]  # of every worker that computed this round
+    losses: Sequence[float]  # one per worker that computed this round
     lr: float
     union_size: int  # global index union: k_global, and density over n_gradients
     communication: float
