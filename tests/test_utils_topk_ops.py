@@ -189,3 +189,49 @@ def test_union_matches_unique_on_disjoint_per_rank_sets(sizes, seed):
     pool = rng.permutation(10 * sum(sizes) + 1)
     pieces = np.split(pool[: sum(sizes)], np.cumsum(sizes)[:-1])
     _assert_same_as_unique(np.concatenate(pieces).astype(np.int64))
+
+
+# --------------------------------------------------------------------------- #
+# The unsorted kernel returns exactly the set a plain argpartition returns.
+# --------------------------------------------------------------------------- #
+def _kernel_input(kind, seed, n):
+    """A length-``n`` vector of one of the shapes the kernel must survive."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n)
+    if kind == "rounded":  # ties everywhere, the k-th value included
+        x = np.round(x, 1)
+    elif kind == "sparse":  # mostly (signed) zeros
+        x[rng.random(n) < 0.9] = 0.0
+        x[rng.random(n) < 0.3] *= -1.0
+    elif kind == "special":  # a few of every special value at random places
+        for value, count in ((0.0, n // 8), (-0.0, n // 8), (np.inf, 3), (-np.inf, 3), (np.nan, 3)):
+            x[rng.integers(0, n, size=count)] = value
+    elif kind == "nan_heavy":  # more NaNs than k, fewer than the sample needs
+        x[rng.permutation(n)[: n // 12]] = np.nan
+    elif kind == "inf_heavy":  # enough infinities to fill a strided sample's top ranks
+        x[rng.permutation(n)[: n // 4]] = -np.inf
+    elif kind == "strided":  # every 32nd entry towers over the rest
+        x[::32] += 1e3
+    return x
+
+
+def _argpartition_set(x, k):
+    mag = np.abs(x)
+    n = mag.shape[0]
+    return set(np.argpartition(mag, n - k)[n - k:].tolist())
+
+
+@given(
+    kind=st.sampled_from(["normal", "rounded", "sparse", "special", "nan_heavy", "inf_heavy", "strided"]),
+    seed=st.integers(0, 2**16),
+    n=st.integers(3500, 9000),
+    divisor=st.one_of(st.integers(12, 20), st.integers(200, 4000)),
+)
+@settings(max_examples=60, deadline=None)
+def test_unsorted_topk_set_equals_argpartition_set(kind, seed, n, divisor):
+    """``sort=False`` may reorder the top-k set but never change it."""
+    x = _kernel_input(kind, seed, n)
+    k = max(1, n // divisor)
+    got = topk_indices(x, k, sort=False)
+    assert got.dtype == np.int64 and got.shape[0] == k
+    assert set(got.tolist()) == _argpartition_set(x, k)
