@@ -13,13 +13,28 @@ Implementation notes
 an additional O(k log k) sort when deterministic ordering is requested.  This
 mirrors the O(n log k) cost model the paper uses for Top-k selection closely
 enough for relative comparisons, and the analytic cost model in
-:mod:`repro.analysis.cost_model` is used when exact paper-model numbers are
+:mod:`repro.analysis.cost` is used when exact paper-model numbers are
 needed.
+
+Unsorted selection of a small ``k`` from a long floating-point vector
+(``n >= 32768`` and ``16 k <= n``) first tries an exact sampled threshold, DGC's idea made
+exact.  The ``(2 k m / n + 8)``-th largest of the ``m`` magnitudes in the
+strided sample ``|x|[::32]`` is a lower threshold ``t``; the entries with
+``not |x| < t`` (NaN included, as ``argpartition`` ranks it) are the
+candidates, and ``argpartition`` runs on those alone.  When there are at
+least ``k`` candidates the top-k all lie among them, so the candidates'
+k-th largest value is the vector's; when no other entry ties with it, the
+top-k set is ``{|x| >= kth}``, the one set any ``argpartition`` returns.
+The result is that set in a different order.  The kernel falls back to the
+full ``argpartition`` when the sample gives ``t == 0`` or a non-finite ``t``
+(before the candidate pass), and when there are fewer than ``k``
+candidates, the k-th value is not finite, or it ties with an entry left out
+(after it).
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -70,12 +85,58 @@ def topk_indices(values: np.ndarray, k: int, *, sort: bool = True) -> np.ndarray
             order = np.argsort(-np.abs(arr[idx]), kind="stable")
             idx = idx[order]
         return idx
+    if not sort and arr.dtype.kind == "f" and n >= _SAMPLED_MIN_N and _SAMPLED_MAX_K_SHARE * k <= n:
+        picked = _sampled_topk(arr, k)
+        if picked is not None:
+            return picked.astype(np.int64, copy=False)
     mag = np.abs(arr)
     part = np.argpartition(mag, n - k)[n - k:]
     if sort:
         order = np.argsort(-mag[part], kind="stable")
         part = part[order]
     return part.astype(np.int64, copy=False)
+
+
+#: The sampled-threshold path runs only on vectors at least this long (below
+#: it a full argpartition runs in cache and the path's fixed cost of a dozen
+#: NumPy calls does not pay) ...
+_SAMPLED_MIN_N = 32768
+#: ... when ``k`` is at most this share of them (``16 k <= n``) ...
+_SAMPLED_MAX_K_SHARE = 16
+#: ... with one sample every this many entries.
+_SAMPLE_STRIDE = 32
+
+
+def _sampled_topk(arr: np.ndarray, k: int) -> Optional[np.ndarray]:
+    """The top-k set of ``|arr|`` through a sampled threshold, or ``None``.
+
+    ``None`` means the set could not be proved equal to ``argpartition``'s
+    (see the module notes) and the caller must run the full kernel.
+    """
+    n = arr.shape[0]
+    sample = np.abs(arr[::_SAMPLE_STRIDE])
+    m = sample.shape[0]
+    rank = 2 * k * m // n + 8
+    sample.partition(m - rank)
+    t = sample[m - rank]
+    if not 0 < t < np.inf:
+        return None
+    # ~(|x| < t) as two comparisons: no |x| temporary, and NaN stays in.
+    inside = np.less(arr, t)
+    inside &= np.greater(arr, -t)
+    candidates = np.flatnonzero(~inside)
+    c = candidates.shape[0]
+    if c < k:
+        return None
+    cand_mag = np.abs(arr[candidates])
+    part = np.argpartition(cand_mag, c - k)
+    kth = cand_mag[part[c - k]]
+    if not kth < np.inf:
+        return None
+    chosen = part[c - k:]
+    if np.count_nonzero(cand_mag == kth) != np.count_nonzero(cand_mag[chosen] == kth):
+        return None
+    return candidates[chosen]
 
 
 def topk_values(values: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.utils.topk_ops import (
+    _SAMPLED_MIN_N,
+    _sampled_topk,
     select_magnitude,
     threshold_indices,
     topk_indices,
@@ -224,14 +226,24 @@ def _argpartition_set(x, k):
 @given(
     kind=st.sampled_from(["normal", "rounded", "sparse", "special", "nan_heavy", "inf_heavy", "strided"]),
     seed=st.integers(0, 2**16),
-    n=st.integers(3500, 9000),
+    n=st.integers(_SAMPLED_MIN_N - 2000, _SAMPLED_MIN_N + 8000),
     divisor=st.one_of(st.integers(12, 20), st.integers(200, 4000)),
+    path=st.just(None),
 )
+# One example per outcome of the sampled-threshold path; ``path`` names it.
+@example(kind="normal", seed=0, n=_SAMPLED_MIN_N, divisor=100, path="sampled")
+@example(kind="sparse", seed=0, n=_SAMPLED_MIN_N, divisor=16, path="fallback: t == 0")
+@example(kind="inf_heavy", seed=0, n=_SAMPLED_MIN_N, divisor=16, path="fallback: t not finite")
+@example(kind="strided", seed=0, n=_SAMPLED_MIN_N, divisor=16, path="fallback: fewer than k candidates")
+@example(kind="nan_heavy", seed=0, n=_SAMPLED_MIN_N, divisor=16, path="fallback: k-th value not finite")
+@example(kind="rounded", seed=0, n=_SAMPLED_MIN_N, divisor=16, path="fallback: tie at the k-th value")
 @settings(max_examples=60, deadline=None)
-def test_unsorted_topk_set_equals_argpartition_set(kind, seed, n, divisor):
+def test_unsorted_topk_set_equals_argpartition_set(kind, seed, n, divisor, path):
     """``sort=False`` may reorder the top-k set but never change it."""
     x = _kernel_input(kind, seed, n)
     k = max(1, n // divisor)
     got = topk_indices(x, k, sort=False)
     assert got.dtype == np.int64 and got.shape[0] == k
     assert set(got.tolist()) == _argpartition_set(x, k)
+    if path is not None:
+        assert (_sampled_topk(x, k) is None) == path.startswith("fallback")
