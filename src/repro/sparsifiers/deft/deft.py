@@ -22,7 +22,7 @@ cluster grows (Eq. 5-9).
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,7 +33,12 @@ from repro.sparsifiers.deft.allocation import (
     allocate_layers,
     layer_costs,
 )
-from repro.sparsifiers.deft.k_assignment import assign_local_k, layer_norms, robust_layer_norms
+from repro.sparsifiers.deft.k_assignment import (
+    assign_local_k,
+    layer_norms,
+    norm_statistic,
+    robust_layer_norms,
+)
 from repro.sparsifiers.deft.partitioning import LayerPartition, two_stage_partition
 from repro.sparsifiers.deft.selection import layerwise_select
 
@@ -88,6 +93,8 @@ class DEFTSparsifier(Sparsifier):
         self._coordinate_seconds: float = 0.0
         self._shared_norms: Optional[np.ndarray] = None
         self._shared_norms_iteration: Optional[int] = None
+        self._own_norms_key: Optional[Tuple[int, int, int]] = None
+        self._own_norms_value: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------ #
     def _post_setup(self) -> None:
@@ -99,14 +106,44 @@ class DEFTSparsifier(Sparsifier):
             self.partitions = two_stage_partition(layout, 1)
         self._allocation_iteration = None
         self._allocation = None
+        self._own_norms_key = None
 
     # ------------------------------------------------------------------ #
     def delegate_of(self, iteration: int) -> int:
         """Rank that computes the allocation in ``iteration`` (cyclic)."""
         return int(iteration) % self.n_workers
 
-    def _assign_k(self, acc_flat: np.ndarray, iteration: Optional[int] = None) -> np.ndarray:
-        """Run Algorithm 3 (or its uniform ablation) on one accumulator."""
+    def _own_norms(
+        self, acc_flat: np.ndarray, iteration: Optional[int], rank: Optional[int], keep: bool
+    ) -> np.ndarray:
+        """``rank``'s per-partition norms of its accumulator in ``iteration``.
+
+        One O(n_g) pass per rank and iteration: the vector computed for an
+        allocation (the delegate's in ``coordinate``, a standalone rank's in
+        ``allocation_for``) is kept, and that rank's ``select`` reads it
+        instead of recomputing it.  A kept vector is read at most once, and
+        only for the same rank, iteration and buffer address: ranks may
+        share one accumulator buffer.
+        """
+        key = None
+        if rank is not None and iteration is not None:
+            key = (int(iteration), int(rank), np.asarray(acc_flat).__array_interface__["data"][0])
+            if key == self._own_norms_key:
+                self._own_norms_key = None
+                return self._own_norms_value
+        norms = layer_norms(acc_flat, self.partitions)
+        if keep and key is not None:
+            self._own_norms_key, self._own_norms_value = key, norms
+        return norms
+
+    def _assign_k(
+        self,
+        acc_flat: np.ndarray,
+        iteration: Optional[int] = None,
+        rank: Optional[int] = None,
+        keep: bool = False,
+    ) -> np.ndarray:
+        """Run Algorithm 3 (or its uniform ablation) on ``rank``'s accumulator."""
         k_total = self.global_k
         if (
             self.robust_norms
@@ -118,15 +155,17 @@ class DEFTSparsifier(Sparsifier):
             # attack-resistant median norms.
             norms = self._shared_norms
         elif self.norm_proportional_k:
-            norms = layer_norms(acc_flat, self.partitions)
+            norms = self._own_norms(acc_flat, iteration, rank, keep)
         else:
             # Uniform ablation: weight every partition by its size instead.
             norms = np.array([float(p.size) for p in self.partitions], dtype=np.float64)
         return assign_local_k(self.partitions, norms, k_total)
 
-    def compute_allocation(self, acc_flat: np.ndarray, iteration: Optional[int] = None) -> List[List[int]]:
-        """Compute the layer-to-worker allocation from one worker's view."""
-        ks = self._assign_k(acc_flat, iteration)
+    def compute_allocation(
+        self, acc_flat: np.ndarray, iteration: Optional[int] = None, rank: Optional[int] = None
+    ) -> List[List[int]]:
+        """Compute the layer-to-worker allocation from ``rank``'s view."""
+        ks = self._assign_k(acc_flat, iteration, rank, keep=True)
         costs = layer_costs(self.partitions, ks)
         sizes = [p.size for p in self.partitions]
         result = allocate_layers(costs, self.n_workers, policy=self.allocation_policy, sizes=sizes)
@@ -163,18 +202,15 @@ class DEFTSparsifier(Sparsifier):
             # the per-layer median: the statistic Algorithm 3 and the
             # bin packing run on can no longer be moved by a minority of
             # norm-inflating workers.
+            rows = [layer_norms(acc, self.partitions) for acc in acc_per_worker]
             if backend is not None:
                 # The all-gather exists for the traffic meter; the lock-step
                 # simulation already sees every accumulator in memory.
-                rows = [
-                    layer_norms(np.asarray(acc).reshape(-1), self.partitions)
-                    for acc in acc_per_worker
-                ]
                 backend.allgather(rows, tag="deft-norms")
-            self._shared_norms = robust_layer_norms(acc_per_worker, self.partitions)
+            self._shared_norms = norm_statistic(rows)
             self._shared_norms_iteration = int(iteration)
         allocation = self.compute_allocation(
-            np.asarray(acc_per_worker[delegate]).reshape(-1), iteration
+            np.asarray(acc_per_worker[delegate]).reshape(-1), iteration, delegate
         )
         if backend is not None:
             # Payload: one integer per partitioned layer (the paper's 4L bytes).
@@ -192,7 +228,7 @@ class DEFTSparsifier(Sparsifier):
             # derives the allocation from its own accumulator.  Workers share
             # model state, so the allocations agree in practice; the
             # trainer-driven path guarantees it.
-            self._allocation = self.compute_allocation(acc_flat, iteration)
+            self._allocation = self.compute_allocation(acc_flat, iteration, rank)
             self._allocation_iteration = int(iteration)
         return self._allocation[rank]
 
@@ -203,7 +239,7 @@ class DEFTSparsifier(Sparsifier):
 
         partition_start = time.perf_counter()
         allocated = self.allocation_for(iteration, rank, flat)
-        ks = self._assign_k(flat, iteration)
+        ks = self._assign_k(flat, iteration, rank)
         partition_seconds = time.perf_counter() - partition_start
 
         select_start = time.perf_counter()

@@ -16,22 +16,43 @@ import numpy as np
 
 from repro.sparsifiers.deft.partitioning import LayerPartition
 
-__all__ = ["assign_local_k", "layer_norms", "robust_layer_norms"]
+__all__ = ["assign_local_k", "layer_norms", "norm_statistic", "robust_layer_norms"]
 
 
-def layer_norms(acc_flat: np.ndarray, partitions: Sequence[LayerPartition], ord: int = 2) -> np.ndarray:
-    """Per-partition norms of a flat accumulator vector."""
+def layer_norms(acc_flat: np.ndarray, partitions: Sequence[LayerPartition]) -> np.ndarray:
+    """Per-partition L2 norms of a flat accumulator vector.
+
+    Bit-equal to ``np.linalg.norm(segment, ord=2)`` per partition: that call's
+    1-D path is ``sqrt(segment.dot(segment))``, taken here without its
+    per-call wrapper cost (DEFT runs this over all of ``n_g`` once per rank
+    and iteration).
+    """
     flat = np.asarray(acc_flat).reshape(-1)
-    return np.array(
-        [np.linalg.norm(flat[p.start : p.end], ord=ord) for p in partitions], dtype=np.float64
-    )
+    if flat.dtype.kind != "f":
+        flat = flat.astype(np.float64)
+    squares = []
+    for p in partitions:
+        segment = flat[p.start : p.end]
+        squares.append(segment.dot(segment))
+    return np.sqrt(np.array(squares)).astype(np.float64, copy=False)
+
+
+def norm_statistic(rows: Sequence[np.ndarray], statistic: str = "median") -> np.ndarray:
+    """Per-partition ``statistic`` over workers' :func:`layer_norms` rows."""
+    if not len(rows):
+        raise ValueError("need at least one accumulator")
+    matrix = np.stack(rows)
+    if statistic == "median":
+        return np.median(matrix, axis=0)
+    if statistic == "mean":
+        return matrix.mean(axis=0)
+    raise ValueError(f"unknown norm statistic {statistic!r}; use 'median' or 'mean'")
 
 
 def robust_layer_norms(
     acc_per_worker: Sequence[np.ndarray],
     partitions: Sequence[LayerPartition],
     statistic: str = "median",
-    ord: int = 2,
 ) -> np.ndarray:
     """Per-partition norm statistic over *all* workers' accumulators.
 
@@ -43,16 +64,7 @@ def robust_layer_norms(
     majority of workers is honest, an inflated layer norm cannot move the
     statistic, so the budget split stays attack-resistant.
     """
-    if not len(acc_per_worker):
-        raise ValueError("need at least one accumulator")
-    matrix = np.stack(
-        [layer_norms(np.asarray(acc).reshape(-1), partitions, ord=ord) for acc in acc_per_worker]
-    )
-    if statistic == "median":
-        return np.median(matrix, axis=0)
-    if statistic == "mean":
-        return matrix.mean(axis=0)
-    raise ValueError(f"unknown norm statistic {statistic!r}; use 'median' or 'mean'")
+    return norm_statistic([layer_norms(acc, partitions) for acc in acc_per_worker], statistic)
 
 
 def assign_local_k(
