@@ -56,16 +56,6 @@ class GradientLayout:
     def slices(self) -> List[slice]:
         return [slice(o, o + s) for o, s in zip(self.offsets, self.sizes)]
 
-    def layer_norms(self, flat: np.ndarray, ord: int = 2) -> np.ndarray:
-        """Per-layer norm of a flat vector laid out according to this layout."""
-        flat = np.asarray(flat).reshape(-1)
-        if flat.size != self.total_size:
-            raise ValueError(f"vector has {flat.size} elements, layout expects {self.total_size}")
-        return np.array(
-            [np.linalg.norm(flat[o : o + s], ord=ord) for o, s in zip(self.offsets, self.sizes)],
-            dtype=np.float64,
-        )
-
     @classmethod
     def from_flat_spec(cls, spec: FlatSpec) -> "GradientLayout":
         return cls(names=tuple(spec.names), sizes=tuple(spec.sizes), offsets=tuple(spec.offsets))

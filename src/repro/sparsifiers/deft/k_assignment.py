@@ -28,6 +28,9 @@ def layer_norms(acc_flat: np.ndarray, partitions: Sequence[LayerPartition]) -> n
     and iteration).
     """
     flat = np.asarray(acc_flat).reshape(-1)
+    covered = partitions[-1].end if len(partitions) else 0
+    if flat.shape[0] != covered:
+        raise ValueError(f"vector has {flat.shape[0]} elements, the partitions cover {covered}")
     if flat.dtype.kind != "f":
         flat = flat.astype(np.float64)
     squares = []

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-import numpy as np
-
 from repro.sparsifiers.base import GradientLayout
 
 __all__ = ["LayerPartition", "two_stage_partition"]
@@ -50,10 +48,6 @@ class LayerPartition:
 
     def slice(self) -> slice:
         return slice(self.start, self.end)
-
-    def norm(self, flat: np.ndarray, ord: int = 2) -> float:
-        """Norm of this fragment of a flat vector."""
-        return float(np.linalg.norm(np.asarray(flat).reshape(-1)[self.start : self.end], ord=ord))
 
 
 def two_stage_partition(layout: GradientLayout, n_workers: int) -> List[LayerPartition]:

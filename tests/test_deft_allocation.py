@@ -12,7 +12,7 @@ from repro.sparsifiers.deft.allocation import (
     allocation_payload_elements,
     layer_costs,
 )
-from repro.sparsifiers.deft.k_assignment import assign_local_k
+from repro.sparsifiers.deft.k_assignment import assign_local_k, layer_norms
 from repro.sparsifiers.deft.partitioning import two_stage_partition
 
 
@@ -100,7 +100,7 @@ class TestEndToEndAllocation:
         n_workers = 4
         partitions = make_partitions(sizes, n_workers)
         flat = rng.standard_normal(sum(sizes))
-        norms = [p.norm(flat) for p in partitions]
+        norms = layer_norms(flat, partitions)
         ks = assign_local_k(partitions, norms, int(0.01 * sum(sizes)))
         costs = layer_costs(partitions, ks)
         result = allocate_layers(costs, n_workers)

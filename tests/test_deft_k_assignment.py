@@ -16,12 +16,34 @@ def make_partitions(sizes, n_workers=1):
 
 
 class TestLayerNorms:
-    def test_norms_match_numpy(self):
-        partitions = make_partitions([4, 6])
-        flat = np.arange(10, dtype=np.float64)
+    def test_norms_equal_numpy_bit_for_bit(self):
+        partitions = make_partitions([4, 6, 1, 300])
+        rng = np.random.default_rng(0)
+        for flat in (
+            rng.standard_normal(311),
+            rng.standard_normal(311).astype(np.float32),
+            rng.integers(-9, 9, size=311),
+        ):
+            expected = [np.linalg.norm(flat[p.start : p.end], ord=2) for p in partitions]
+            norms = layer_norms(flat, partitions)
+            assert norms.dtype == np.float64
+            np.testing.assert_array_equal(norms, np.array(expected, dtype=np.float64))
+
+    def test_each_partition_sees_only_its_fragment(self):
+        partitions = make_partitions([1, 2, 1])
+        norms = layer_norms(np.array([9.0, 3.0, 4.0, 9.0]), partitions)
+        np.testing.assert_array_equal(norms, [9.0, 5.0, 9.0])
+
+    def test_zero_layer_has_zero_norm(self):
+        partitions = make_partitions([5, 7])
+        flat = np.zeros(12)
+        flat[5:] = 3.0
         norms = layer_norms(flat, partitions)
-        np.testing.assert_allclose(norms[0], np.linalg.norm(flat[:4]))
-        np.testing.assert_allclose(norms[1], np.linalg.norm(flat[4:]))
+        assert norms[0] == 0.0 and norms[1] > 0
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(ValueError):
+            layer_norms(np.zeros(11), make_partitions([5, 7]))
 
 
 class TestAssignLocalK:
@@ -90,6 +112,31 @@ class TestAssignLocalK:
 
     def test_empty_partition_list(self):
         assert assign_local_k([], [], 10).size == 0
+
+    def test_layers_are_visited_in_decreasing_norm_order(self):
+        """Algorithm 3 visits the larger norm first.  Here the order
+        decides ``ks``: the 100-layer (norm 3) first takes 40 * 3/4 = 30 and
+        the 4-layer is capped at its size, ks = [4, 30].  Visiting the
+        4-layer first would cap it at 4 and leave all 36 to the other
+        layer, ks = [4, 36]."""
+        ks = assign_local_k(make_partitions([4, 100]), [1.0, 3.0], 40)
+        assert ks.tolist() == [4, 30]
+
+    def test_l2_norms_not_l1_norms_split_the_budget(self):
+        """A spiky layer (one entry of 15) against a flat one (100 entries
+        of 0.5): L2 norms 15 and 5, L1 norms 15 and 50.  With k = 0.2 * 200
+        = 40, L2 gives the spiky layer 40 * 15/20 = 30 and the flat one the
+        remaining 10; L1 would give the flat layer 40 * 50/65 -> 30 first
+        and the spiky one 10."""
+        from repro.sparsifiers import DEFTSparsifier
+
+        layout = GradientLayout.from_named_shapes([("spiky", (100,)), ("flat", (100,))])
+        flat = np.concatenate([np.zeros(100), np.full(100, 0.5)])
+        flat[37] = 15.0
+        sparsifier = DEFTSparsifier(0.2)
+        sparsifier.setup(layout, 1)
+        np.testing.assert_array_equal(layer_norms(flat, sparsifier.partitions), [15.0, 5.0])
+        assert sparsifier._assign_k(flat).tolist() == [30, 10]
 
     def test_priority_order_is_by_norm(self):
         """The highest-norm layer is assigned first and therefore gets the

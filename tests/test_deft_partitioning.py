@@ -19,11 +19,6 @@ class TestLayerPartition:
         assert part.size == 7
         assert part.slice() == slice(5, 12)
 
-    def test_norm(self):
-        part = LayerPartition(start=1, end=3, source_layer=0, source_name="a")
-        flat = np.array([9.0, 3.0, 4.0, 9.0])
-        assert part.norm(flat) == pytest.approx(5.0)
-
 
 class TestTwoStagePartition:
     def test_small_layers_kept_whole(self):

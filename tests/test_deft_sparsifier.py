@@ -1,10 +1,14 @@
 """Tests for the end-to-end DEFTSparsifier (orchestration of Algorithms 2-5)."""
 
+import importlib
+
 import numpy as np
 
 from repro.comm import SimulatedBackend
 from repro.sparsifiers import DEFTSparsifier
 from repro.sparsifiers.deft.allocation import AllocationPolicy
+from repro.sparsifiers.deft.k_assignment import assign_local_k, layer_norms
+from repro.sparsifiers.deft.selection import layerwise_select
 
 
 def make_accs(layout, n_workers, seed=0, scale=0.05):
@@ -266,3 +270,107 @@ class TestRobustNorms:
         # Standalone select without coordinate still works (local norms).
         result = robust.select(0, 0, small_acc)
         assert result.k_selected > 0
+
+
+class TestNormReuse:
+    """One per-partition norm pass per rank and iteration.
+
+    ``coordinate`` computes the delegate's norm vector for the allocation and
+    keeps it for the delegate's own ``select``; nothing else may read it.
+    """
+
+    @staticmethod
+    def _record(monkeypatch):
+        """Count norm passes and capture the norms Algorithm 3 receives."""
+        module = importlib.import_module("repro.sparsifiers.deft.deft")
+        passes, assigned = [], []
+
+        def counting_layer_norms(acc_flat, partitions):
+            passes.append(np.asarray(acc_flat).__array_interface__["data"][0])
+            return layer_norms(acc_flat, partitions)
+
+        def recording_assign_local_k(partitions, norms, k_total):
+            assigned.append(np.array(norms))
+            return assign_local_k(partitions, norms, k_total)
+
+        monkeypatch.setattr(module, "layer_norms", counting_layer_norms)
+        monkeypatch.setattr(module, "assign_local_k", recording_assign_local_k)
+        return passes, assigned
+
+    def _setup(self, layout, n_workers=4, **kwargs):
+        sparsifier = DEFTSparsifier(0.05, **kwargs)
+        sparsifier.setup(layout, n_workers)
+        return sparsifier
+
+    def test_delegate_select_reuses_coordinate_norms(self, small_layout, monkeypatch):
+        sparsifier = self._setup(small_layout)
+        accs = make_accs(small_layout, 4)
+        passes, assigned = self._record(monkeypatch)
+        sparsifier.coordinate(1, accs, SimulatedBackend(4))
+        assert len(passes) == 1
+        sparsifier.select(1, 1, accs[1])
+        assert len(passes) == 1
+        np.testing.assert_array_equal(assigned[-1], layer_norms(accs[1], sparsifier.partitions))
+        for rank in (0, 2, 3):
+            sparsifier.select(1, rank, accs[rank])
+        assert len(passes) == 4
+
+    def test_rank_sharing_the_delegates_buffer_computes_its_own(self, small_layout, monkeypatch):
+        """Ranks 1 and 3 pass the same buffer (as the select_scale benchmark
+        does): only the delegate, rank 1, may read the kept vector, once."""
+        sparsifier = self._setup(small_layout)
+        a, b = make_accs(small_layout, 2)
+        passes, _ = self._record(monkeypatch)
+        sparsifier.coordinate(1, [a, b, a, b], SimulatedBackend(4))
+        sparsifier.select(1, 3, b)
+        assert len(passes) == 2
+        sparsifier.select(1, 1, b)
+        assert len(passes) == 2
+        sparsifier.select(1, 1, b)
+        assert len(passes) == 3
+
+    def test_other_iteration_or_buffer_recomputes(self, small_layout, monkeypatch):
+        sparsifier = self._setup(small_layout)
+        accs = make_accs(small_layout, 4)
+        passes, assigned = self._record(monkeypatch)
+        sparsifier.coordinate(1, accs, SimulatedBackend(4))
+        louder = accs[1] * 2.0
+        sparsifier.select(1, 1, louder)
+        assert len(passes) == 2
+        np.testing.assert_array_equal(assigned[-1], layer_norms(louder, sparsifier.partitions))
+        # The trainer updates accumulators in place between iterations.
+        # Iteration 2 has no allocation yet: allocation_for computes rank 1's
+        # norms of the new contents (one pass) and select reads those, never
+        # the vector iteration 1 kept for the same buffer.
+        accs[1] *= 3.0
+        before = len(assigned)
+        sparsifier.select(2, 1, accs[1])
+        assert len(passes) == 3
+        assert len(assigned) == before + 2
+        fresh = layer_norms(accs[1], sparsifier.partitions)
+        for norms in assigned[before:]:
+            np.testing.assert_array_equal(norms, fresh)
+
+    def test_standalone_select_is_one_pass_and_unchanged(self, small_layout, small_acc, monkeypatch):
+        sparsifier = self._setup(small_layout)
+        reference = self._setup(small_layout)
+        ks = assign_local_k(
+            reference.partitions, layer_norms(small_acc, reference.partitions), reference.global_k
+        )
+        allocation = reference.compute_allocation(small_acc)
+        expected, _, _ = layerwise_select(small_acc, reference.partitions, ks, allocation[2])
+        passes, _ = self._record(monkeypatch)
+        result = sparsifier.select(0, 2, small_acc)
+        assert len(passes) == 1
+        assert set(result.indices.tolist()) == set(expected.tolist())
+
+    def test_robust_norms_one_pass_per_worker(self, small_layout, monkeypatch):
+        sparsifier = self._setup(small_layout, robust_norms=True)
+        accs = make_accs(small_layout, 4)
+        rows = np.stack([layer_norms(acc, sparsifier.partitions) for acc in accs])
+        passes, _ = self._record(monkeypatch)
+        sparsifier.coordinate(0, accs, SimulatedBackend(4))
+        for rank in range(4):
+            sparsifier.select(0, rank, accs[rank])
+        assert len(passes) == 4
+        np.testing.assert_array_equal(sparsifier._shared_norms, np.median(rows, axis=0))

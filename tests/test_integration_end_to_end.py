@@ -8,6 +8,8 @@ import pytest
 
 from repro.sparsifiers import build_sparsifier
 from repro.sparsifiers.base import GradientLayout
+from repro.sparsifiers.deft.k_assignment import layer_norms
+from repro.sparsifiers.deft.partitioning import two_stage_partition
 from repro.training.tasks import ImageClassificationTask, LanguageModelingTask
 from repro.api import RunSpec
 from repro.training.trainer import DistributedTrainer
@@ -132,5 +134,5 @@ class TestModelLayoutRoundtrip:
         loss.backward()
         flat = flatten_gradients(model)
         assert flat.size == layout.total_size
-        norms = layout.layer_norms(flat)
+        norms = layer_norms(flat, two_stage_partition(layout, 1))
         assert (norms > 0).sum() >= layout.n_layers - 1

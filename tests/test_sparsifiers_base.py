@@ -40,17 +40,6 @@ class TestGradientLayout:
         assert slices[0].start == 0
         assert slices[-1].stop == small_layout.total_size
 
-    def test_layer_norms(self, small_layout):
-        flat = np.zeros(small_layout.total_size)
-        flat[small_layout.offsets[2] : small_layout.offsets[2] + small_layout.sizes[2]] = 3.0
-        norms = small_layout.layer_norms(flat)
-        assert norms[2] > 0
-        assert norms[0] == 0.0
-
-    def test_layer_norms_wrong_length(self, small_layout):
-        with pytest.raises(ValueError):
-            small_layout.layer_norms(np.zeros(small_layout.total_size + 1))
-
     def test_scalar_parameter_has_size_one(self):
         layout = GradientLayout.from_named_shapes([("scalar", ())])
         assert layout.total_size == 1
