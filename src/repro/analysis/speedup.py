@@ -8,6 +8,10 @@ Three curves appear in Figure 9:
 - ``DEFT``                -- the measured speedup of DEFT's layer-wise
   selection over a single full-vector Top-k.
 
+The measured curve times what the trainer runs: the slowest rank's
+``DEFTSparsifier.select`` (its own per-partition norm pass included) against
+``TopKSparsifier.select``; both reach the same ``topk_indices`` kernel.
+
 The paper's claim (Eq. 9) is ``f(n) >= f_trivial(n) >= n``.
 """
 
@@ -27,7 +31,7 @@ from repro.analysis.cost import (
 )
 from repro.sparsifiers.base import GradientLayout
 from repro.sparsifiers.deft import DEFTSparsifier
-from repro.utils.topk_ops import topk_indices
+from repro.sparsifiers.topk import TopKSparsifier
 
 __all__ = [
     "SpeedupCurve",
@@ -111,8 +115,9 @@ def measure_selection_speedup(
         Worker counts to sweep (1 corresponds to plain Top-k and is the
         speedup-1 reference point).
     repeats:
-        Wall-clock measurements are repeated and the minimum is kept (the
-        standard way to suppress scheduler noise).
+        Wall-clock measurements are repeated after one untimed warm-up call
+        and the minimum is kept (the standard way to suppress scheduler
+        noise).
     measure_wallclock:
         When False only the analytic curves are produced (faster; used by
         unit tests).
@@ -135,7 +140,9 @@ def measure_selection_speedup(
     }
     if measure_wallclock:
         curves["deft_measured"] = SpeedupCurve("deft-measured")
-        baseline_seconds = _best_of(lambda: topk_indices(flat, k), repeats)
+        topk = TopKSparsifier(density)
+        topk.setup(layout, 1)
+        baseline_seconds = _best_of(lambda: topk.select(0, 0, flat), repeats)
 
     for n_workers in worker_counts:
         n_workers = int(n_workers)
@@ -156,30 +163,23 @@ def measure_selection_speedup(
             if n_workers == 1:
                 curves["deft_measured"].append(1, 1.0)
                 continue
-            slowest = 0.0
-            allocation = sparsifier.compute_allocation(flat)
-            ks = sparsifier._assign_k(flat)
-            for layers in allocation:
-                seconds = _best_of(
-                    lambda layers=layers: _run_worker_selection(flat, sparsifier, ks, layers), repeats
-                )
-                slowest = max(slowest, seconds)
+            # Every rank selects from the same snapshot.  The warm-up call
+            # also spends the norm vector coordinate keeps for the delegate,
+            # so every timed call pays its own norm pass.
+            sparsifier.coordinate(0, [flat] * n_workers)
+            slowest = max(
+                _best_of(lambda rank=rank: sparsifier.select(0, rank, flat), repeats)
+                for rank in range(n_workers)
+            )
             curves["deft_measured"].append(
                 n_workers, baseline_seconds / slowest if slowest > 0 else float("inf")
             )
     return curves
 
 
-def _run_worker_selection(flat: np.ndarray, sparsifier: DEFTSparsifier, ks: np.ndarray, layers) -> None:
-    for index in layers:
-        partition = sparsifier.partitions[index]
-        k = int(ks[index])
-        if k <= 0:
-            continue
-        topk_indices(flat[partition.start : partition.end], k)
-
-
 def _best_of(fn, repeats: int) -> float:
+    """Minimum wall-clock time of ``repeats`` calls after one untimed warm-up."""
+    fn()
     best = float("inf")
     for _ in range(max(1, repeats)):
         start = time.perf_counter()

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sparsifiers.base import GradientLayout
+from repro.sparsifiers.deft.k_assignment import layer_norms
 from repro.sparsifiers.deft.partitioning import LayerPartition, two_stage_partition
 
 
@@ -18,6 +19,16 @@ class TestLayerPartition:
         part = LayerPartition(start=5, end=12, source_layer=0, source_name="a")
         assert part.size == 7
         assert part.slice() == slice(5, 12)
+
+    def test_norm(self):
+        """A partition's norm covers only its own fragment of the vector."""
+        partitions = [
+            LayerPartition(start=0, end=1, source_layer=0, source_name="a"),
+            LayerPartition(start=1, end=3, source_layer=0, source_name="a", fragment=1),
+            LayerPartition(start=3, end=4, source_layer=1, source_name="b"),
+        ]
+        norms = layer_norms(np.array([9.0, 3.0, 4.0, 9.0]), partitions)
+        np.testing.assert_array_equal(norms, [9.0, 5.0, 9.0])
 
 
 class TestTwoStagePartition:

@@ -17,6 +17,8 @@ from repro.sparsifiers import (
     available_sparsifiers,
     build_sparsifier,
 )
+from repro.sparsifiers.deft.k_assignment import layer_norms
+from repro.sparsifiers.deft.partitioning import two_stage_partition
 
 
 class TestGradientLayout:
@@ -39,6 +41,18 @@ class TestGradientLayout:
         assert covered == small_layout.total_size
         assert slices[0].start == 0
         assert slices[-1].stop == small_layout.total_size
+
+    def test_layer_norms(self, small_layout):
+        """A layout's per-layer norms are DEFT's over its stage-one partitions."""
+        flat = np.zeros(small_layout.total_size)
+        flat[small_layout.offsets[2] : small_layout.offsets[2] + small_layout.sizes[2]] = 3.0
+        norms = layer_norms(flat, two_stage_partition(small_layout, 1))
+        assert norms[2] > 0
+        assert norms[0] == 0.0
+
+    def test_layer_norms_wrong_length(self, small_layout):
+        with pytest.raises(ValueError):
+            layer_norms(np.zeros(small_layout.total_size + 1), two_stage_partition(small_layout, 1))
 
     def test_scalar_parameter_has_size_one(self):
         layout = GradientLayout.from_named_shapes([("scalar", ())])
