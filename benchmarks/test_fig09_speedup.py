@@ -6,8 +6,9 @@ theoretical-trivial (Eq. 8) reference curves.  Expected shape (Eq. 9):
 ``deft >= trivial >= linear`` for the analytic curves, with the slope
 increasing in the worker count.
 
-The wall-clock-measured curve is also produced; at the reproduction's tiny
-model size Python call overhead dominates the measured kernel times, so only
+The wall-clock-measured curve is also produced: the slowest rank's
+``DEFTSparsifier.select`` against ``TopKSparsifier.select``.  At the
+reproduction's tiny model size Python call overhead dominates both, so only
 the analytic curves are asserted (see EXPERIMENTS.md).
 """
 

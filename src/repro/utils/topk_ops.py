@@ -17,8 +17,8 @@ enough for relative comparisons, and the analytic cost model in
 needed.
 
 Unsorted selection of a small ``k`` from a long floating-point vector
-(``n >= 32768`` and ``16 k <= n``) first tries an exact sampled threshold, DGC's idea made
-exact.  The ``(2 k m / n + 8)``-th largest of the ``m`` magnitudes in the
+(``n >= 32768`` and ``16 k <= n``) first tries an exact sampled threshold:
+DGC's sampling idea, made exact.  The ``(2 k m / n + 8)``-th largest of the ``m`` magnitudes in the
 strided sample ``|x|[::32]`` is a lower threshold ``t``; the entries with
 ``not |x| < t`` (NaN included, as ``argpartition`` ranks it) are the
 candidates, and ``argpartition`` runs on those alone.  When there are at
