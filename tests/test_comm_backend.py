@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.comm import CollectiveBackend, ReduceOp, SimulatedBackend, TrafficMeter
 
@@ -163,3 +166,47 @@ class TestBackendValidation:
             backend.allgather([np.zeros(1), np.zeros(1)])
         with pytest.raises(NotImplementedError):
             backend.barrier()
+
+
+# The trainer's hot path calls the row-matrix collectives; they claim to
+# equal the list-based ones (and the interface's default delegation to
+# them) bit for bit, and to meter exactly the same entry.
+_row_matrices = st.tuples(st.integers(1, 6), st.integers(0, 12)).flatmap(
+    lambda shape: hnp.arrays(
+        np.float64, shape, elements=st.floats(-1e6, 1e6, allow_nan=False, width=64)
+    )
+)
+
+
+def _last_record(backend):
+    record = backend.meter.records[-1]
+    return (record.op, record.sent_per_rank, record.received_per_rank, record.tag)
+
+
+def _bits(array):
+    array = np.asarray(array)
+    return array.dtype, array.shape, array.tobytes()
+
+
+class TestRowCollectivesAgreeWithListCollectives:
+    @settings(max_examples=80, deadline=None)
+    @given(matrix=_row_matrices, op=st.sampled_from(list(ReduceOp)))
+    def test_allreduce_rows(self, matrix, op):
+        n = matrix.shape[0]
+        fast, listed, default = (SimulatedBackend(n) for _ in range(3))
+        out = fast.allreduce_rows(matrix, op, tag="values")
+        expected = listed.allreduce(list(matrix), op, tag="values")[0]
+        delegated = CollectiveBackend.allreduce_rows(default, matrix, op, tag="values")
+        assert _bits(out) == _bits(expected) == _bits(delegated)
+        assert _last_record(fast) == _last_record(listed) == _last_record(default)
+
+    @settings(max_examples=80, deadline=None)
+    @given(matrix=_row_matrices)
+    def test_allgather_rows(self, matrix):
+        n = matrix.shape[0]
+        fast, listed, default = (SimulatedBackend(n) for _ in range(3))
+        out = fast.allgather_rows(matrix, tag="indices")
+        expected = listed.allgather(list(matrix), tag="indices")[0].reshape(matrix.shape)
+        delegated = CollectiveBackend.allgather_rows(default, matrix, tag="indices")
+        assert _bits(out) == _bits(expected) == _bits(delegated)
+        assert _last_record(fast) == _last_record(listed) == _last_record(default)

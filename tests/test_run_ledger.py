@@ -213,3 +213,21 @@ class TestSweepWiring:
         errored = [e for e in entries if e["source"] == "error"]
         assert len(errored) == 1
         assert errored[0]["error"]
+
+
+class TestCommittedBaseline:
+    def test_canary_spec_key_matches_committed_baseline(self):
+        """CI's regression gate re-runs this argv and looks its key up in
+        baselines/ledger.jsonl; a drift of ``spec_key`` (a spec field added,
+        removed or renamed) would orphan the baseline entry."""
+        from pathlib import Path
+
+        from repro.cli import spec_from_argv
+
+        baseline = Path(__file__).resolve().parents[1] / "baselines" / "ledger.jsonl"
+        (entry,) = RunLedger(baseline).entries()
+        spec = spec_from_argv(
+            ["train", "--workload", "lm", "--epochs", "1", "--max-iterations-per-epoch", "4"]
+        )
+        assert spec_key(spec) == entry["spec_key"]
+        assert entry["spec_key"].startswith("2c51cc9558b3")
