@@ -1,9 +1,8 @@
 """CI entry point for the project lint (thin shim over ``repro lint``).
 
 Runs the full rule set -- determinism, exception discipline, plugin
-contracts, metering parity, API drift, declared dependencies -- over the
-``repro`` package and
-exits non-zero on any unannotated finding::
+contracts, API drift, declared dependencies -- over the ``repro`` package
+and exits non-zero on any unannotated finding::
 
     PYTHONPATH=src python scripts/lint.py
     PYTHONPATH=src python scripts/lint.py --json

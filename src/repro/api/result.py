@@ -165,8 +165,6 @@ class RunResult:
                 "aggregator": spec.robustness.aggregator,
                 "attack": spec.robustness.attack,
                 "execution": spec.execution.model,
-                "backend": spec.execution.backend,
-                "procs": spec.execution.procs,
             },
             "metrics": metrics,
             "phase_totals": phase_totals,

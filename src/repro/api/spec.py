@@ -54,7 +54,6 @@ from repro.plugins import (
     available_components,
     default_aggregator_for,
     default_topology_for,
-    get_component,
     validate_run_combination,
 )
 
@@ -207,21 +206,6 @@ class ExecutionSpec:
     max_staleness: int = knob(
         4, "--max-staleness", "bounded-staleness window of async_bsp (0 = lock step)"
     )
-    backend: str = knob(
-        "simulated", "--backend",
-        "collective backend: 'simulated' runs every worker "
-        "in-process (the deterministic oracle); "
-        "'multiprocess' runs real OS processes exchanging "
-        "tensors through shared memory -- bit-identical "
-        "on lock-step schedules",
-        choices=partial(available_components, "backend"),
-    )
-    #: Ignored by the simulated backend.
-    procs: Optional[int] = knob(
-        None, "--procs",
-        "worker-process count for --backend multiprocess "
-        "(default: min(n_workers, cpu_count))",
-    )
     kwargs: Dict[str, Any] = knob(
         dict, "--execution-arg", "extra execution-model kwarg (repeatable)",
         flat="execution_kwargs",
@@ -347,15 +331,6 @@ class RunSpec:
             )
         if self.cluster.base_compute_seconds <= 0:
             raise ValueError("base_compute_seconds must be positive")
-        try:
-            get_component("backend", self.execution.backend)
-        except KeyError:
-            raise ValueError(
-                f"unknown backend {self.execution.backend!r}; "
-                f"available: {available_components('backend')}"
-            ) from None
-        if self.execution.procs is not None and self.execution.procs < 1:
-            raise ValueError(f"procs must be >= 1, got {self.execution.procs}")
         validate_run_combination(
             **self.combination(),
             aggregator_kwargs=self.robustness.aggregator_kwargs,

@@ -307,7 +307,6 @@ def _command_list(as_json: bool = False) -> int:
         ("aggregator", "Aggregators"),
         ("attack", "Attacks"),
         ("execution", "Execution models"),
-        ("backend", "Backends"),
         ("topology", "Topologies"),
         ("model", "Models"),
     ):
@@ -383,9 +382,6 @@ def _command_train(args) -> int:
     if args.topology is not None or args.server_rank is not None:
         placement = "" if args.server_rank is None else f", server@{args.server_rank}"
         scenario += f" [topology={args.topology or 'default'}{placement}]"
-    if args.backend != "simulated":
-        procs_note = "" if args.procs is None else f", procs={args.procs}"
-        scenario += f" [backend={args.backend}{procs_note}]"
     print(f"Trained {args.workload} with {args.sparsifier} on {args.n_workers} simulated workers{scenario}")
     for key, value in sorted(result.final_metrics.items()):
         print(f"  final {key}: {value:.4f}")
@@ -707,12 +703,6 @@ def _command_compare(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     diff = regress.diff_entries(entry_a, entry_b)
-    backend_a = (entry_a.get("run") or {}).get("backend") or "simulated"
-    backend_b = (entry_b.get("run") or {}).get("backend") or "simulated"
-    if backend_a != backend_b:
-        print(f"warning: comparing across backends ({backend_a} vs {backend_b}); "
-              "async-schedule metrics only agree statistically, not bitwise",
-              file=sys.stderr)
     if args.as_json:
         print(json.dumps(
             {

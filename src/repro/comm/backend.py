@@ -65,8 +65,8 @@ class CollectiveBackend:
     # The trainer's hot path passes its per-worker contributions as one
     # (n_workers, m) matrix, row r belonging to rank r.  These defaults
     # delegate to the list-based collectives, so any backend implementing
-    # the interface above works unchanged; in-process backends may override
-    # them to skip per-rank result copies (see SimulatedBackend).
+    # the interface above works unchanged; SimulatedBackend overrides them
+    # to skip per-rank result copies.
     def allgather_rows(self, matrix: np.ndarray, tag: str = "") -> np.ndarray:
         """Allgather a row-per-rank matrix; returns the full (n, m) matrix."""
         rows = np.asarray(matrix)

@@ -40,18 +40,9 @@ def _payload_size(value) -> int:
 class SimulatedBackend(CollectiveBackend):
     """Lock-step, single-process implementation of the collective interface."""
 
-    name = "simulated"
-    #: Interface symmetry with MultiprocessBackend: one process, no pool.
-    procs = None
-    supports_compute = False
-
     def __init__(self, n_workers: int, meter: Optional[TrafficMeter] = None) -> None:
         super().__init__(n_workers)
         self.meter = meter if meter is not None else TrafficMeter()
-
-    def close(self) -> None:
-        """Nothing to release; present so callers can close any backend."""
-        return None
 
     # ------------------------------------------------------------------ #
     def allgather(self, buffers: Sequence[np.ndarray], tag: str = "") -> List[np.ndarray]:

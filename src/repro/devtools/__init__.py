@@ -1,11 +1,10 @@
 """Project-invariant static analysis (``repro lint``).
 
 The repo's headline guarantees -- spec-addressed cache hits, the ledger
-regression gate, cross-backend bit-identity -- rest on invariants that
-used to be enforced only by convention: no wall-clock in priced or cached
-paths, every backend op metered, every broad ``except`` a deliberate
-isolation point, plugin registrations that match their builders.  This
-package makes those invariants machine-checked.
+regression gate -- rest on invariants that used to be enforced only by
+convention: no wall-clock in priced or cached paths, every broad
+``except`` a deliberate isolation point, plugin registrations that match
+their builders.  This package makes those invariants machine-checked.
 
 Rules
 -----
@@ -21,10 +20,6 @@ Rules
     Every registered :class:`~repro.plugins.ComponentSpec` matches its
     builder signature, draws capabilities from the closed vocabulary and
     round-trips through ``describe``.
-``metering-parity``
-    Every public op on ``SimulatedBackend`` has a matching
-    ``MultiprocessBackend`` implementation with identical traffic-meter
-    emissions.
 ``api-drift``
     ``RunSpec.to_argv`` round-trips through the train parser (whose spec
     flags are generated from the spec fields) and the live API surface

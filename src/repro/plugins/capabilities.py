@@ -43,7 +43,6 @@ CAPABILITY_VOCABULARY: Mapping[str, str] = {
     "corrupts_data": "attack poisons training data rather than gradients",
     "deterministic_oracle": "attack output is a pure function of benign updates",
     # -- execution models ----------------------------------------------- #
-    "compute_offload": "schedule can ship gradient computation to backend workers",
     "default_aggregator": "aggregation rule the schedule runs with when none is chosen",
     "default_topology": "topology the schedule assumes when none is configured",
     "exchanges_gradients": "workers put gradient accumulators on the wire",
@@ -65,8 +64,6 @@ CAPABILITY_VOCABULARY: Mapping[str, str] = {
     # -- topologies ----------------------------------------------------- #
     "neighbor_graph": "topology defines per-rank neighbour edges",
     "one_hop_server": "topology prices an unplaced server at one hop",
-    # -- backends ------------------------------------------------------- #
-    "real_processes": "backend runs OS worker processes (not simulated)",
 }
 
 

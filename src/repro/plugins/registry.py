@@ -38,7 +38,6 @@ _BUILTIN_MODULES: Dict[str, str] = {
     "execution": "repro.execution.registry",
     "model": "repro.models.registry",
     "topology": "repro.comm.registry",
-    "backend": "repro.backends.registry",
 }
 
 

@@ -60,20 +60,11 @@ def spec_key(
     Observability flags are *excluded* from the key: they never change what
     a run computes, so a traced run and an untraced run of the same spec
     share one cache entry (and the key of every spec cached before the
-    observability section existed stays valid).  ``procs`` is likewise
-    excluded (a pure throughput knob), and ``backend`` only participates
-    when it is *not* the simulated oracle -- lock-step schedules are
-    bit-identical across backends, but async schedules only agree
-    statistically, so a multiprocess result must not satisfy a simulated
-    cache lookup.  Keys minted before the backend field existed stay valid.
+    observability section existed stays valid).
     """
     resolved = spec if assume_resolved else spec.resolve()
     spec_dict = resolved.to_dict()
     spec_dict.pop("observability", None)
-    execution = spec_dict.get("execution", {})
-    execution.pop("procs", None)
-    if execution.get("backend") == "simulated":
-        execution.pop("backend", None)
     payload = json.dumps(
         {"cache_version": int(cache_version), "spec": spec_dict},
         sort_keys=True,

@@ -174,9 +174,9 @@ def run_sweep(
     jobs:
         Worker-process count.  ``1`` (default) runs serially in-process on
         ``session``; ``> 1`` dispatches misses to a process pool, clamped
-        to what the host can actually run side by side (cores divided by
-        the widest cell's process weight -- see
-        :attr:`SweepReport.effective_jobs` / ``clamp_reason``).  Results
+        to what the host can actually run side by side (one process per
+        core -- see :attr:`SweepReport.effective_jobs` /
+        ``clamp_reason``).  Results
         are bit-identical at any job count: every cell is fully seeded by
         its spec.
     cache:
@@ -240,9 +240,7 @@ def run_sweep(
             misses.append(outcome.index)
 
     if misses:
-        effective, reason = _clamp_jobs(
-            int(jobs), [report.outcomes[i].spec for i in misses]
-        )
+        effective, reason = _clamp_jobs(int(jobs), len(misses))
         report.effective_jobs = effective
         report.clamp_reason = reason
         if effective == 1:
@@ -261,41 +259,22 @@ def run_sweep(
 
 
 # ---------------------------------------------------------------------- #
-def _cell_weight(spec: RunSpec, cpu: int) -> int:
-    """How many OS processes one running cell occupies.
+def _clamp_jobs(requested: int, n_misses: int):
+    """Bound the pool size by the host's cores and the cells to run.
 
-    Simulated cells are single-process; a multiprocess cell forks its
-    worker group, so its ``procs`` count against the host's core budget.
-    """
-    if getattr(spec.execution, "backend", "simulated") == "multiprocess":
-        return max(1, spec.execution.procs or min(spec.cluster.n_workers, cpu))
-    return 1
-
-
-def _clamp_jobs(requested: int, miss_specs: Sequence[RunSpec]):
-    """Bound the pool size by the host's cores and the cells' weights.
-
-    Dispatching more simultaneous processes than cores buys nothing and
-    measurably loses to serial on a single core (scheduler churn plus the
-    pool's pickling overhead -- the BENCH_sweep regression this replaces),
-    so the effective pool is ``cpu_count // max_cell_weight``, floored at
-    serial.  Returns ``(effective_jobs, reason-or-None)``.
+    Every cell is one process.  Dispatching more simultaneous processes
+    than cores buys nothing and measurably loses to serial on a single
+    core (scheduler churn plus the pool's pickling overhead -- the
+    BENCH_sweep regression this replaces), so the effective pool is at
+    most ``cpu_count``, floored at serial.  Returns
+    ``(effective_jobs, reason-or-None)``.
     """
     cpu = os.cpu_count() or 1  # repro: allow-hostenv(pool sizing only; never enters specs, results or cache keys)
-    weight = max((_cell_weight(spec, cpu) for spec in miss_specs), default=1)
-    budget = max(1, cpu // weight)
-    effective = min(requested, budget, len(miss_specs))
-    if effective < 1:
-        effective = 1
+    effective = max(1, min(requested, cpu, n_misses))
     if effective == requested:
         return effective, None
-    if effective == len(miss_specs) and effective < min(requested, budget):
-        return effective, f"only {len(miss_specs)} cache-missed cells to run"
-    if weight > 1:
-        return effective, (
-            f"clamped to {effective} jobs: {cpu} cpu(s) / "
-            f"{weight}-process multiprocess cells"
-        )
+    if effective == n_misses and effective < min(requested, cpu):
+        return effective, f"only {n_misses} cache-missed cells to run"
     return effective, f"clamped to {effective} jobs on {cpu} cpu(s)"
 
 
@@ -327,8 +306,6 @@ def _ledger_cell(ledger: RunLedger, outcome: CellOutcome) -> None:
                 "aggregator": spec.robustness.aggregator,
                 "attack": spec.robustness.attack,
                 "execution": spec.execution.model,
-                "backend": spec.execution.backend,
-                "procs": spec.execution.procs,
             },
             "metrics": {},
             "phase_totals": None,

@@ -62,6 +62,7 @@ from repro.comm.cost_model import AlphaBetaModel
 from repro.data.dataloader import DataLoader
 from repro.data.partition import shard_dataset
 from repro.comm.backend import CollectiveBackend
+from repro.comm.simulated import SimulatedBackend
 from repro.execution.base import ExecutionModel, RoundRecord, load_flat_parameters
 from repro.execution.straggler import VirtualClock, WorkerSpeedModel
 from repro.observability import Observability
@@ -79,25 +80,6 @@ if TYPE_CHECKING:  # repro.api builds on this module; importing it here would cy
     from repro.api.spec import RunSpec
 
 __all__ = ["TrainingResult", "DistributedTrainer"]
-
-
-def _forward_is_pure(model) -> bool:
-    """Whether a training forward pass mutates no shared module state.
-
-    Registered buffers (batch-norm running statistics) are updated inside
-    ``forward``, and dropout draws from a module-held RNG; either one
-    makes the model unsafe to evaluate in a forked worker, because the
-    mutation would be lost to the parent copy.  Conservative by design:
-    anything not recognisably pure stays parent-side.
-    """
-    from repro.nn import Dropout
-
-    try:
-        if any(True for _ in model.named_buffers()):
-            return False
-        return not any(isinstance(m, Dropout) for m in model.modules())
-    except (AttributeError, TypeError):
-        return False
 
 
 @dataclass
@@ -163,16 +145,7 @@ class DistributedTrainer:
         self.spec = spec
         self.n_workers = n_workers = spec.cluster.n_workers
         seed = spec.seed
-        if backend is not None:
-            self.backend = backend
-            self._owns_backend = False
-        else:
-            from repro.backends.registry import build_backend_component
-
-            self.backend = build_backend_component(
-                spec.execution.backend, n_workers, procs=spec.execution.procs
-            )
-            self._owns_backend = True
+        self.backend = backend if backend is not None else SimulatedBackend(n_workers)
         if self.backend.n_workers != n_workers:
             raise ValueError("backend worker count does not match the training configuration")
         self.cost_model = cost_model if cost_model is not None else AlphaBetaModel()
@@ -281,15 +254,7 @@ class DistributedTrainer:
             straggler_profile=spec.cluster.straggler_profile,
             topology=spec.cluster.topology or "flat",
             server_rank=server_rank,
-            backend=self.backend_name,
-            procs=self.backend_procs,
         )
-        if self.obs.metrics_enabled:
-            self.obs.metrics.gauge(
-                "backend_info",
-                backend=self.backend_name,
-                procs=str(self.backend_procs or 1),
-            ).set(1.0)
         self.timing = TimingAccumulator()
         self.iteration = 0
         # Reusable hot-path buffers for sparse_exchange: the flattened
@@ -298,33 +263,10 @@ class DistributedTrainer:
         # union, which is re-zeroed after each apply).
         self._contrib_buffer = np.empty((n_workers, 0), dtype=np.float64)
         self._update_buffer = np.zeros(self.n_gradients, dtype=np.float64)
-        # One flat float64 gradient per rank, rewritten by every parent-side
-        # worker_gradient call (untouched pages cost nothing when the
-        # backend computes the gradients in its own processes).
+        # One flat float64 gradient per rank, rewritten by every
+        # worker_gradient call.
         self._grad_buffers = np.empty((n_workers, self.n_gradients), dtype=np.float64)
-        # Compute offload: backends with real worker processes can evaluate
-        # forward/backward off the parent -- but only for models whose
-        # training forward mutates no shared module state.  Batch-norm
-        # running stats and dropout RNG draws live inside the model, and a
-        # forked worker's mutation never reaches the parent copy used for
-        # evaluation, so such models keep parent-side compute (the real
-        # collectives still run over shared memory).
-        if (
-            hasattr(self.backend, "bind_compute")
-            and not getattr(self.backend, "_started", False)
-            and _forward_is_pure(self.model)
-        ):
-            self.backend.bind_compute(self.model, task, self.n_gradients)
-        self._offload = bool(getattr(self.backend, "supports_compute", False))
         self.execution.bind(self)
-
-    @property
-    def backend_name(self) -> str:
-        return getattr(self.backend, "name", type(self.backend).__name__)
-
-    @property
-    def backend_procs(self) -> Optional[int]:
-        return getattr(self.backend, "procs", None)
 
     # ------------------------------------------------------------------ #
     def _build_loaders(self, seeds: SeedSequenceFactory) -> List[DataLoader]:
@@ -367,18 +309,13 @@ class DistributedTrainer:
         forward/backward work through.  ``params is None`` means "the
         shared model's current parameters"; a vector means "load this
         worker's own copy first".  Returns one ``(loss, grad_flat,
-        host_start, host_end)`` tuple per job, in job order -- identical
-        whether the work ran parent-side or on the backend's worker
-        processes (parameters round-trip float32→float64→float32 exactly,
-        so the arithmetic is the same stream of operations either way).
+        host_start, host_end)`` tuple per job, in job order.
 
         Aliasing: a job's ``grad_flat`` may be the rank's reused gradient
         buffer, valid until that rank's next :meth:`worker_gradient` (so
         one rank must not appear twice in ``jobs``); callers that keep a
         gradient past that point copy it.
         """
-        if self._offload and jobs:
-            return self.backend.compute_gradients(jobs)
         results = []
         for rank, params, batch in jobs:
             if params is not None:
@@ -706,12 +643,6 @@ class DistributedTrainer:
         try:
             last_summary = self.execution.run()
         finally:
-            # A trainer-built backend owns real resources (worker
-            # processes, shared-memory segments); release them even when a
-            # schedule raises.  The traffic meter outlives the close --
-            # Session reads it after train() returns.
-            if self._owns_backend:
-                self.backend.close()
             # The schedule's back-reference closes a trainer <-> schedule
             # reference cycle.  Dropping it lets reference counting free a
             # finished (or aborted) run's gradient-sized buffers as soon as

@@ -23,7 +23,6 @@ from repro.utils.topk_ops import (
 from repro.utils.binpack import (
     BinPackingResult,
     pack_greedy_min_bin,
-    pack_lpt,
     pack_round_robin,
     pack_first_fit_decreasing,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "union_indices",
     "BinPackingResult",
     "pack_greedy_min_bin",
-    "pack_lpt",
     "pack_round_robin",
     "pack_first_fit_decreasing",
     "FlatSpec",

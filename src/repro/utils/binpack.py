@@ -11,8 +11,6 @@ benchmarks:
 
 - :func:`pack_greedy_min_bin` -- the paper's policy (items taken in
   decreasing weight, each placed into the currently lightest bin),
-- :func:`pack_lpt` -- alias of the above, named after the scheduling
-  literature,
 - :func:`pack_round_robin` -- naive allocation ignoring weights,
 - :func:`pack_first_fit_decreasing` -- capacity-bounded FFD, useful when a
   hard per-worker budget is required.
@@ -29,7 +27,6 @@ import numpy as np
 __all__ = [
     "BinPackingResult",
     "pack_greedy_min_bin",
-    "pack_lpt",
     "pack_round_robin",
     "pack_first_fit_decreasing",
 ]
@@ -116,11 +113,6 @@ def pack_greedy_min_bin(weights: Sequence[float], n_bins: int) -> BinPackingResu
         loads[b] = new_load
         heapq.heappush(heap, (new_load, b))
     return BinPackingResult(assignment=assignment, loads=loads)
-
-
-def pack_lpt(weights: Sequence[float], n_bins: int) -> BinPackingResult:
-    """Longest-processing-time-first scheduling (same policy as the paper)."""
-    return pack_greedy_min_bin(weights, n_bins)
 
 
 def pack_round_robin(weights: Sequence[float], n_bins: int) -> BinPackingResult:

@@ -71,22 +71,6 @@ def make_smoke_image_task(seed: int = 0):
     )
 
 
-@pytest.fixture(autouse=True, scope="session")
-def no_leaked_shm_segments():
-    """Fail the session if any test leaks a repro-mp shared-memory segment.
-
-    Every multiprocess-backend arena is named ``repro-mp-*``; whatever a
-    test creates it must unlink (``close()`` is idempotent and registered
-    atexit, so a leak here means a real cleanup bug, not test untidiness).
-    """
-    from repro.backends.shm import list_repro_segments
-
-    before = set(list_repro_segments())
-    yield
-    leaked = set(list_repro_segments()) - before
-    assert not leaked, f"leaked /dev/shm segments: {sorted(leaked)}"
-
-
 @pytest.fixture
 def smoke_lm_task():
     return make_smoke_lm_task()

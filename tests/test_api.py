@@ -126,7 +126,6 @@ EVERYTHING = dict(
     aggregator="centered_clipping", aggregator_kwargs={"tau": 0.5},
     attack="gaussian_noise", attack_kwargs={"std": 0.2}, n_byzantine=1,
     execution="async_bsp", local_steps=2, max_staleness=3,
-    backend="multiprocess", procs=2,
     trace=True, metrics=True,
 )
 ELASTIC_VARIANT = dict(
@@ -306,7 +305,6 @@ class TestValidationMatrix:
         (dict(max_staleness=-1), "max_staleness must be >= 0, got -1"),
         (dict(base_compute_seconds=0.0), "base_compute_seconds must be positive"),
         (dict(base_compute_seconds=-1.0), "base_compute_seconds must be positive"),
-        (dict(procs=0), "procs must be >= 1, got 0"),
     ])
     def test_out_of_range_knobs_rejected_at_resolve(self, knobs, match):
         with pytest.raises(ValueError, match=match):

@@ -38,7 +38,7 @@ class TestListJson:
         assert main(["list", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert set(payload["components"]) == {
-            "sparsifier", "aggregator", "attack", "backend", "execution",
+            "sparsifier", "aggregator", "attack", "execution",
             "model", "topology",
         }
         names = [entry["name"] for entry in payload["components"]["sparsifier"]]

@@ -3,7 +3,7 @@
 Fixture modules under ``tests/fixtures/lint/`` each seed one violation
 class; the tests assert every fixture triggers exactly its rule, that
 the pragma vocabulary suppresses it, and that the semi-static rules
-(plugin contracts, metering parity, API drift) both pass on the real
+(plugin contracts, API drift) both pass on the real
 project and catch injected violations.
 """
 
@@ -16,7 +16,6 @@ import pytest
 
 from repro.devtools import run_lint
 from repro.devtools.core import DIRECTIVES, load_module, parse_pragmas
-from repro.devtools.parity import check_metering_parity
 from repro.devtools.runner import ALL_RULE_NAMES, SEMISTATIC_RULES, lint_main
 
 FIXTURES = Path(__file__).parent / "fixtures" / "lint"
@@ -110,28 +109,12 @@ def test_directive_vocabulary_is_closed():
 # ---------------------------------------------------------------------- #
 # Semi-static rules.
 # ---------------------------------------------------------------------- #
-def test_metering_parity_catches_missing_and_mispriced_ops():
-    findings = check_metering_parity(
-        simulated_path=FIXTURES / "parity_sim.py",
-        multiprocess_path=FIXTURES / "parity_mp.py",
-    )
-    messages = " ".join(f.message for f in findings)
-    assert len(findings) == 2
-    assert all(f.rule == "metering-parity" for f in findings)
-    assert "push" in messages  # the missing op
-    assert "allgather" in messages and "allreduce" in messages  # the mispriced op
-
-
-def test_metering_parity_clean_on_real_backends():
-    assert check_metering_parity() == []
-
-
-def test_plugin_contracts_validate_all_seven_kinds():
+def test_plugin_contracts_validate_all_six_kinds():
     from repro.devtools.contracts import check_plugin_contracts
     from repro.plugins.registry import _BUILTIN_MODULES, component_kinds, load_builtin_components
 
     load_builtin_components()
-    assert len(_BUILTIN_MODULES) == 7
+    assert len(_BUILTIN_MODULES) == 6
     assert sorted(_BUILTIN_MODULES) == component_kinds()
     assert check_plugin_contracts() == []
 

@@ -18,7 +18,7 @@ from repro.plugins import (
 class TestRegistryFramework:
     def test_all_kinds_registered(self):
         assert component_kinds() == [
-            "aggregator", "attack", "backend", "execution", "model",
+            "aggregator", "attack", "execution", "model",
             "sparsifier", "topology",
         ]
 

@@ -413,28 +413,6 @@ class TestJobClamp:
         assert report.effective_jobs == 2
         assert report.clamp_reason is None
 
-    def test_multiprocess_cells_count_procs(self, monkeypatch):
-        from repro.sweep import engine
-
-        monkeypatch.setattr(engine.os, "cpu_count", lambda: 8)
-        specs = [
-            tiny_spec(seed=s, execution={"backend": "multiprocess", "procs": 4})
-            for s in range(4)
-        ]
-        effective, reason = engine._clamp_jobs(4, [s.resolve() for s in specs])
-        assert effective == 2  # 8 cpus / 4-process cells
-        assert "4-process" in reason
-
-    def test_multiprocess_default_procs_weighted_by_workers(self, monkeypatch):
-        from repro.sweep import engine
-
-        monkeypatch.setattr(engine.os, "cpu_count", lambda: 4)
-        spec = tiny_spec(execution={"backend": "multiprocess"}).resolve()
-        # procs=None resolves to min(n_workers=2, cpu=4) = 2 processes.
-        assert engine._cell_weight(spec, 4) == 2
-        effective, _ = engine._clamp_jobs(4, [spec, spec, spec])
-        assert effective == 2
-
     def test_fewer_misses_than_jobs(self, monkeypatch):
         from repro.sweep import engine
 

@@ -9,7 +9,6 @@ from repro.utils.binpack import (
     BinPackingResult,
     pack_first_fit_decreasing,
     pack_greedy_min_bin,
-    pack_lpt,
     pack_round_robin,
 )
 
@@ -62,10 +61,6 @@ class TestGreedyMinBin:
     def test_zero_bins_rejected(self):
         with pytest.raises(ValueError):
             pack_greedy_min_bin([1.0], 0)
-
-    def test_lpt_is_alias(self):
-        weights = [4, 5, 6, 1, 2]
-        assert pack_lpt(weights, 3).assignment == pack_greedy_min_bin(weights, 3).assignment
 
 
 class TestRoundRobin:
