@@ -2,8 +2,8 @@
 
 ``run_lint`` applies the per-file AST rules to every discovered source
 file and, when enabled, the semi-static project rules (plugin contracts,
-API drift, declared dependencies) once per invocation.  The CLI surface lives
-here too so both ``repro lint`` and ``scripts/lint.py`` share one
+API drift, declared dependencies) once per invocation.  The CLI surface
+lives here too so both ``repro lint`` and ``scripts/lint.py`` share one
 implementation.
 
 Exit codes: 0 clean, 1 findings, 2 usage error.

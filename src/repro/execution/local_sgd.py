@@ -84,8 +84,7 @@ class LocalSGDExecution(ExecutionModel):
                 for rank in range(n_workers)
             ]
         # Dense local step on every worker's own parameter copy, through
-        # the trainer's compute seam (parent-side or offloaded to the
-        # backend's worker processes -- bit-identical either way).
+        # the trainer's compute seam.
         trace = trainer.obs.trace_enabled
         v_round = trainer.clock.now
         jobs = [(rank, local_params[rank], batches[rank]) for rank in range(n_workers)]

@@ -176,9 +176,8 @@ def run_sweep(
         ``session``; ``> 1`` dispatches misses to a process pool, clamped
         to what the host can actually run side by side (one process per
         core -- see :attr:`SweepReport.effective_jobs` /
-        ``clamp_reason``).  Results
-        are bit-identical at any job count: every cell is fully seeded by
-        its spec.
+        ``clamp_reason``).  Results are bit-identical at any job count:
+        every cell is fully seeded by its spec.
     cache:
         Optional result cache consulted (and filled) per cell.
     session:
