@@ -104,8 +104,7 @@ def conv2d(
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
-    def backward(grad, x_t=x, w_t=weight, b_t=bias, cached_cols=cols):
-        grads = out._pending_grads  # type: ignore[attr-defined]
+    def backward(grad, grads, x_t=x, w_t=weight, b_t=bias, cached_cols=cols):
         g = grad.reshape(n, c_out, oh * ow)  # (N, C_out, S)
         # dW: sum over batch of g @ cols^T
         dw = np.einsum("nos,nfs->of", g, cached_cols, optimize=True).reshape(w_t.data.shape)
@@ -117,8 +116,7 @@ def conv2d(
         if b_t is not None:
             b_t._receive(g.sum(axis=(0, 2)), grads)
 
-    out = Tensor._make(out_data.astype(x.data.dtype, copy=False), parents, backward)
-    return out
+    return Tensor._make(out_data.astype(x.data.dtype, copy=False), parents, backward)
 
 
 def max_pool2d(x: Tensor, kernel: int, stride: Optional[int] = None) -> Tensor:
@@ -141,13 +139,11 @@ def max_pool2d(x: Tensor, kernel: int, stride: Optional[int] = None) -> Tensor:
     mask = (reshaped == expanded).astype(x.data.dtype)
     mask = mask / np.maximum(mask.sum(axis=(3, 5), keepdims=True), 1.0)
 
-    def backward(grad, x_t=x, m=mask, k=kernel):
-        grads = out._pending_grads  # type: ignore[attr-defined]
+    def backward(grad, grads, x_t=x, m=mask, k=kernel):
         g = grad[:, :, :, None, :, None] * m
         x_t._receive(g.reshape(x_t.data.shape), grads)
 
-    out = Tensor._make(out_data, (x,), backward)
-    return out
+    return Tensor._make(out_data, (x,), backward)
 
 
 def avg_pool2d(x: Tensor, kernel: int, stride: Optional[int] = None) -> Tensor:
@@ -163,13 +159,11 @@ def avg_pool2d(x: Tensor, kernel: int, stride: Optional[int] = None) -> Tensor:
     out_data = reshaped.mean(axis=(3, 5))
     scale = 1.0 / (kernel * kernel)
 
-    def backward(grad, x_t=x, k=kernel, s=scale):
-        grads = out._pending_grads  # type: ignore[attr-defined]
+    def backward(grad, grads, x_t=x, k=kernel, s=scale):
         g = np.repeat(np.repeat(grad, k, axis=2), k, axis=3) * s
         x_t._receive(g, grads)
 
-    out = Tensor._make(out_data, (x,), backward)
-    return out
+    return Tensor._make(out_data, (x,), backward)
 
 
 def global_avg_pool2d(x: Tensor) -> Tensor:

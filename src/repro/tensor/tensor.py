@@ -4,7 +4,13 @@ The design follows the classic tape-less "define-by-run" pattern: every
 operation produces a new :class:`Tensor` holding references to its inputs and
 a closure that propagates the output gradient to them.  Calling
 :meth:`Tensor.backward` performs a topological sort of the graph and runs the
-closures in reverse order.
+closures in reverse order, passing each one the output gradient and the
+pass's ``grads`` dict (``backward(grad, grads)``) to accumulate into.
+
+A closure references its inputs and arrays, never the tensor it produces, so
+a graph holds no reference cycle: it is freed by reference counting as soon
+as nothing references its output, and can be backpropagated again (adding to
+the leaves' ``.grad``) for as long as something does.
 
 All arrays are stored as ``float32`` by default (``float64`` only in the
 tests that compare against finite differences).  Broadcasting is supported in
@@ -68,7 +74,7 @@ def _as_array(value: ArrayLike, dtype=np.float32) -> np.ndarray:
 class Tensor:
     """An n-dimensional array with reverse-mode automatic differentiation."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "name", "_pending_grads")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "name")
     __array_priority__ = 100  # make numpy defer to Tensor's reflected ops
 
     def __init__(
@@ -83,7 +89,7 @@ class Tensor:
         self.data: np.ndarray = np.asarray(data, dtype=dtype)
         self.requires_grad: bool = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
-        self._backward: Optional[Callable[[np.ndarray], None]] = None
+        self._backward: Optional[Callable[[np.ndarray, dict], None]] = None
         self._prev: Tuple["Tensor", ...] = ()
         self.name = name
 
@@ -134,7 +140,7 @@ class Tensor:
     def _make(
         data: np.ndarray,
         parents: Iterable["Tensor"],
-        backward: Callable[[np.ndarray], None],
+        backward: Callable[[np.ndarray, dict], None],
     ) -> "Tensor":
         parents = tuple(parents)
         requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
@@ -196,15 +202,12 @@ class Tensor:
                 if node is not self and node._backward is None:
                     continue
             if node._backward is not None:
-                # The backward closure accumulates into parents via the
-                # `grads` dict captured through `_receive` below.
-                node._pending_grads = grads  # type: ignore[attr-defined]
-                node._backward(node_grad)
-                del node._pending_grads  # type: ignore[attr-defined]
+                node._backward(node_grad, grads)
 
-    # The closure-based backward functions below accumulate parent gradients
-    # through this helper so that intermediate tensors do not permanently
-    # store their gradients (only leaves keep .grad).
+    # Backward closures hand each parent its gradient through this helper,
+    # into the pass's ``grads`` dict they receive as an argument, so that
+    # intermediate tensors do not store their gradients (only leaves keep
+    # .grad) and no closure needs a reference to its own output.
     def _receive(self, grad: np.ndarray, grads_dict) -> None:
         if not self.requires_grad:
             return
@@ -251,37 +254,31 @@ class Tensor:
         out_data = self.data + other_t.data
         parents = (self, other_t)
 
-        def backward(grad, a=self, b=other_t):
-            grads = out._pending_grads  # type: ignore[attr-defined]
+        def backward(grad, grads, a=self, b=other_t):
             a._receive(grad, grads)
             b._receive(grad, grads)
 
-        out = Tensor._make(out_data, parents, backward)
-        return out
+        return Tensor._make(out_data, parents, backward)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
         out_data = -self.data
 
-        def backward(grad, a=self):
-            grads = out._pending_grads  # type: ignore[attr-defined]
+        def backward(grad, grads, a=self):
             a._receive(-grad, grads)
 
-        out = Tensor._make(out_data, (self,), backward)
-        return out
+        return Tensor._make(out_data, (self,), backward)
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
         other_t = other if isinstance(other, Tensor) else Tensor(_as_array(other, self.dtype))
         out_data = self.data - other_t.data
 
-        def backward(grad, a=self, b=other_t):
-            grads = out._pending_grads  # type: ignore[attr-defined]
+        def backward(grad, grads, a=self, b=other_t):
             a._receive(grad, grads)
             b._receive(-grad, grads)
 
-        out = Tensor._make(out_data, (self, other_t), backward)
-        return out
+        return Tensor._make(out_data, (self, other_t), backward)
 
     def __rsub__(self, other: ArrayLike) -> "Tensor":
         other_t = other if isinstance(other, Tensor) else Tensor(_as_array(other, self.dtype))
@@ -291,13 +288,11 @@ class Tensor:
         other_t = other if isinstance(other, Tensor) else Tensor(_as_array(other, self.dtype))
         out_data = self.data * other_t.data
 
-        def backward(grad, a=self, b=other_t):
-            grads = out._pending_grads  # type: ignore[attr-defined]
+        def backward(grad, grads, a=self, b=other_t):
             a._receive(grad * b.data, grads)
             b._receive(grad * a.data, grads)
 
-        out = Tensor._make(out_data, (self, other_t), backward)
-        return out
+        return Tensor._make(out_data, (self, other_t), backward)
 
     __rmul__ = __mul__
 
@@ -305,13 +300,11 @@ class Tensor:
         other_t = other if isinstance(other, Tensor) else Tensor(_as_array(other, self.dtype))
         out_data = self.data / other_t.data
 
-        def backward(grad, a=self, b=other_t):
-            grads = out._pending_grads  # type: ignore[attr-defined]
+        def backward(grad, grads, a=self, b=other_t):
             a._receive(grad / b.data, grads)
             b._receive(-grad * a.data / (b.data ** 2), grads)
 
-        out = Tensor._make(out_data, (self, other_t), backward)
-        return out
+        return Tensor._make(out_data, (self, other_t), backward)
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
         other_t = other if isinstance(other, Tensor) else Tensor(_as_array(other, self.dtype))
@@ -322,12 +315,10 @@ class Tensor:
             raise TypeError("only scalar exponents are supported")
         out_data = self.data ** exponent
 
-        def backward(grad, a=self, p=float(exponent)):
-            grads = out._pending_grads  # type: ignore[attr-defined]
+        def backward(grad, grads, a=self, p=float(exponent)):
             a._receive(grad * p * (a.data ** (p - 1.0)), grads)
 
-        out = Tensor._make(out_data, (self,), backward)
-        return out
+        return Tensor._make(out_data, (self,), backward)
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
         other_t = other if isinstance(other, Tensor) else Tensor(_as_array(other, self.dtype))
@@ -339,8 +330,7 @@ class Tensor:
         a_data, b_data = self.data, other_t.data
         out_data = a_data @ b_data
 
-        def backward(grad, a=self, b=other_t):
-            grads = out._pending_grads  # type: ignore[attr-defined]
+        def backward(grad, grads, a=self, b=other_t):
             ad, bd = a.data, b.data
             if ad.ndim == 1 and bd.ndim == 1:
                 a._receive(grad * bd, grads)
@@ -359,8 +349,7 @@ class Tensor:
             a._receive(grad @ np.swapaxes(bd, -1, -2), grads)
             b._receive(np.swapaxes(ad, -1, -2) @ grad, grads)
 
-        out = Tensor._make(out_data, (self, other_t), backward)
-        return out
+        return Tensor._make(out_data, (self, other_t), backward)
 
     # ------------------------------------------------------------------ #
     # shape manipulation
@@ -370,24 +359,20 @@ class Tensor:
             shape = tuple(shape[0])
         out_data = self.data.reshape(shape)
 
-        def backward(grad, a=self):
-            grads = out._pending_grads  # type: ignore[attr-defined]
+        def backward(grad, grads, a=self):
             a._receive(grad.reshape(a.data.shape), grads)
 
-        out = Tensor._make(out_data, (self,), backward)
-        return out
+        return Tensor._make(out_data, (self,), backward)
 
     def transpose(self, *axes: int) -> "Tensor":
         axes_t = tuple(axes) if axes else tuple(reversed(range(self.ndim)))
         out_data = self.data.transpose(axes_t)
         inverse = np.argsort(axes_t)
 
-        def backward(grad, a=self, inv=tuple(int(i) for i in inverse)):
-            grads = out._pending_grads  # type: ignore[attr-defined]
+        def backward(grad, grads, a=self, inv=tuple(int(i) for i in inverse)):
             a._receive(grad.transpose(inv), grads)
 
-        out = Tensor._make(out_data, (self,), backward)
-        return out
+        return Tensor._make(out_data, (self,), backward)
 
     @property
     def T(self) -> "Tensor":
@@ -396,14 +381,12 @@ class Tensor:
     def __getitem__(self, key) -> "Tensor":
         out_data = self.data[key]
 
-        def backward(grad, a=self, k=key):
-            grads = out._pending_grads  # type: ignore[attr-defined]
+        def backward(grad, grads, a=self, k=key):
             full = np.zeros_like(a.data)
             np.add.at(full, k, grad)
             a._receive(full, grads)
 
-        out = Tensor._make(np.asarray(out_data), (self,), backward)
-        return out
+        return Tensor._make(np.asarray(out_data), (self,), backward)
 
     # ------------------------------------------------------------------ #
     # reductions and elementwise non-linearities
@@ -411,8 +394,7 @@ class Tensor:
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         out_data = self.data.sum(axis=axis, keepdims=keepdims)
 
-        def backward(grad, a=self, ax=axis, kd=keepdims):
-            grads = out._pending_grads  # type: ignore[attr-defined]
+        def backward(grad, grads, a=self, ax=axis, kd=keepdims):
             g = np.asarray(grad)
             if ax is not None and not kd:
                 axes = ax if isinstance(ax, tuple) else (ax,)
@@ -421,8 +403,7 @@ class Tensor:
                     g = np.expand_dims(g, a_i)
             a._receive(np.broadcast_to(g, a.data.shape), grads)
 
-        out = Tensor._make(np.asarray(out_data), (self,), backward)
-        return out
+        return Tensor._make(np.asarray(out_data), (self,), backward)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         if axis is None:
@@ -435,22 +416,18 @@ class Tensor:
     def exp(self) -> "Tensor":
         out_data = np.exp(self.data)
 
-        def backward(grad, a=self):
-            grads = out._pending_grads  # type: ignore[attr-defined]
-            a._receive(grad * out.data, grads)
+        def backward(grad, grads, a=self):
+            a._receive(grad * out_data, grads)
 
-        out = Tensor._make(out_data, (self,), backward)
-        return out
+        return Tensor._make(out_data, (self,), backward)
 
     def log(self) -> "Tensor":
         out_data = np.log(self.data)
 
-        def backward(grad, a=self):
-            grads = out._pending_grads  # type: ignore[attr-defined]
+        def backward(grad, grads, a=self):
             a._receive(grad / a.data, grads)
 
-        out = Tensor._make(out_data, (self,), backward)
-        return out
+        return Tensor._make(out_data, (self,), backward)
 
     def sqrt(self) -> "Tensor":
         return self ** 0.5
@@ -458,44 +435,36 @@ class Tensor:
     def tanh(self) -> "Tensor":
         out_data = np.tanh(self.data)
 
-        def backward(grad, a=self):
-            grads = out._pending_grads  # type: ignore[attr-defined]
-            a._receive(grad * (1.0 - out.data ** 2), grads)
+        def backward(grad, grads, a=self):
+            a._receive(grad * (1.0 - out_data ** 2), grads)
 
-        out = Tensor._make(out_data, (self,), backward)
-        return out
+        return Tensor._make(out_data, (self,), backward)
 
     def sigmoid(self) -> "Tensor":
         out_data = 1.0 / (1.0 + np.exp(-self.data))
 
-        def backward(grad, a=self):
-            grads = out._pending_grads  # type: ignore[attr-defined]
-            a._receive(grad * out.data * (1.0 - out.data), grads)
+        def backward(grad, grads, a=self):
+            a._receive(grad * out_data * (1.0 - out_data), grads)
 
-        out = Tensor._make(out_data, (self,), backward)
-        return out
+        return Tensor._make(out_data, (self,), backward)
 
     def relu(self) -> "Tensor":
         mask = self.data > 0
         out_data = self.data * mask
 
-        def backward(grad, a=self, m=mask):
-            grads = out._pending_grads  # type: ignore[attr-defined]
+        def backward(grad, grads, a=self, m=mask):
             a._receive(grad * m, grads)
 
-        out = Tensor._make(out_data, (self,), backward)
-        return out
+        return Tensor._make(out_data, (self,), backward)
 
     def clip(self, low: float, high: float) -> "Tensor":
         mask = (self.data >= low) & (self.data <= high)
         out_data = np.clip(self.data, low, high)
 
-        def backward(grad, a=self, m=mask):
-            grads = out._pending_grads  # type: ignore[attr-defined]
+        def backward(grad, grads, a=self, m=mask):
             a._receive(grad * m, grads)
 
-        out = Tensor._make(out_data, (self,), backward)
-        return out
+        return Tensor._make(out_data, (self,), backward)
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
         out_data = self.data.max(axis=axis, keepdims=keepdims)
@@ -503,8 +472,7 @@ class Tensor:
         mask = (self.data == expanded).astype(self.data.dtype)
         mask = mask / np.maximum(mask.sum(axis=axis, keepdims=True), 1.0)
 
-        def backward(grad, a=self, m=mask, ax=axis, kd=keepdims):
-            grads = out._pending_grads  # type: ignore[attr-defined]
+        def backward(grad, grads, a=self, m=mask, ax=axis, kd=keepdims):
             g = np.asarray(grad)
             if ax is not None and not kd:
                 axes = ax if isinstance(ax, tuple) else (ax,)
@@ -513,8 +481,7 @@ class Tensor:
                     g = np.expand_dims(g, a_i)
             a._receive(np.broadcast_to(g, a.data.shape) * m, grads)
 
-        out = Tensor._make(np.asarray(out_data), (self,), backward)
-        return out
+        return Tensor._make(np.asarray(out_data), (self,), backward)
 
     # ------------------------------------------------------------------ #
     # joining
@@ -525,26 +492,10 @@ class Tensor:
         out_data = np.concatenate([t.data for t in tensors], axis=axis)
         sizes = [t.data.shape[axis] for t in tensors]
 
-        def backward(grad, ts=tuple(tensors), sz=tuple(sizes), ax=axis):
-            grads = out._pending_grads  # type: ignore[attr-defined]
+        def backward(grad, grads, ts=tuple(tensors), sz=tuple(sizes), ax=axis):
             splits = np.cumsum(sz)[:-1]
             pieces = np.split(grad, splits, axis=ax)
             for t, piece in zip(ts, pieces):
                 t._receive(piece, grads)
 
-        out = Tensor._make(out_data, tensors, backward)
-        return out
-
-    @staticmethod
-    def stack(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
-        tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
-        out_data = np.stack([t.data for t in tensors], axis=axis)
-
-        def backward(grad, ts=tuple(tensors), ax=axis):
-            grads = out._pending_grads  # type: ignore[attr-defined]
-            pieces = np.split(grad, len(ts), axis=ax)
-            for t, piece in zip(ts, pieces):
-                t._receive(np.squeeze(piece, axis=ax), grads)
-
-        out = Tensor._make(out_data, tensors, backward)
-        return out
+        return Tensor._make(out_data, tensors, backward)

@@ -181,10 +181,6 @@ class TestReductionsAndShape:
         a, b = RNG.standard_normal((2, 3)), RNG.standard_normal((2, 3))
         check_gradient(lambda t: (Tensor.concatenate([t[0], t[1]], axis=1) ** 2).sum(), [a, b])
 
-    def test_stack(self):
-        a, b = RNG.standard_normal(4), RNG.standard_normal(4)
-        check_gradient(lambda t: (Tensor.stack([t[0], t[1]], axis=0) ** 2).sum(), [a, b])
-
 
 class TestGraphMechanics:
     def test_grad_accumulates_over_reuse(self):
