@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.api.result import RunResult
 from repro.api.spec import RunSpec
@@ -27,6 +26,9 @@ from repro.plugins import (
 )
 from repro.training.tasks import Task
 from repro.training.trainer import DistributedTrainer
+
+if TYPE_CHECKING:  # imported where a pool is built: only jobs > 1 needs it
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = ["Session", "run", "describe_component"]
 
@@ -63,11 +65,11 @@ class Session:
         #: Optional :class:`~repro.observability.RunLedger`; when set,
         #: every completed :meth:`run` appends one entry to it.
         self.ledger = ledger
-        self._pool: Optional[ProcessPoolExecutor] = None
+        self._pool: "Optional[ProcessPoolExecutor]" = None
         self._pool_jobs = 0
 
     # ------------------------------------------------------------------ #
-    def executor(self, jobs: int) -> ProcessPoolExecutor:
+    def executor(self, jobs: int) -> "ProcessPoolExecutor":
         """A process pool of ``jobs`` workers, persistent across calls.
 
         The pool (and the warm worker processes in it, each holding its own
@@ -82,6 +84,8 @@ class Session:
             self._pool.shutdown(wait=True)
             self._pool = None
         if self._pool is None:
+            from concurrent.futures import ProcessPoolExecutor
+
             self._pool = ProcessPoolExecutor(max_workers=jobs)
             self._pool_jobs = jobs
         return self._pool

@@ -13,7 +13,6 @@ import math
 from typing import List, Optional, Sequence
 
 import numpy as np
-from scipy import special
 
 from repro.attacks.base import Adversary
 
@@ -21,9 +20,15 @@ __all__ = ["ALittleIsEnoughAttack"]
 
 
 def _normal_quantile(p: float) -> float:
-    """Inverse standard-normal CDF."""
+    """Inverse standard-normal CDF.
+
+    scipy is imported here, not at module scope: it is the slowest import
+    of the package and only runs that use this attack need it.
+    """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p}")
+    from scipy import special
+
     return float(special.ndtri(p))
 
 

@@ -4,7 +4,9 @@ The paper's cluster is 8 nodes x 4 GPUs.  The alpha-beta model in
 :mod:`repro.comm.cost_model` only needs worker counts, but the topology
 module lets experiments reason about hop counts and bisection when modelling
 multi-node latency (the alpha term grows with tree depth / ring diameter).
-``networkx`` is used for the graph algorithms.
+A topology is a worker count plus an undirected edge list; hop counts come
+from one breadth-first search per source rank, which is exact and cheap on
+graphs of a few dozen ranks.
 
 :class:`TopologySpec` is the user-facing half: a parsed ``--topology``
 string (``"ring"``, ``"star"``, ``"tree:4"``, ``"fat_node:8x4"`` or the
@@ -18,9 +20,7 @@ priced exactly as before the topology-aware routing existed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
-
-import networkx as nx
+from typing import Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
     "ClusterTopology",
@@ -36,115 +36,133 @@ __all__ = [
 
 @dataclass
 class ClusterTopology:
-    """A worker interconnect graph with per-edge latency weights."""
+    """A worker interconnect graph: ranks ``0..n_workers-1`` and their links.
 
-    graph: nx.Graph
+    ``links`` may list an edge in either direction and more than once; it is
+    stored as sorted, de-duplicated ``(low, high)`` pairs.
+    """
+
+    n_workers: int
+    links: Iterable[Tuple[int, int]] = ()
     name: str = "custom"
+    #: Sorted one-hop peers of every rank.
+    _adjacency: List[List[int]] = field(init=False, repr=False, compare=False)
     #: Lazily filled all-pairs hop table (see :meth:`hops_matrix`).
-    _hops: Optional[Dict[int, Dict[int, int]]] = field(
-        default=None, repr=False, compare=False
+    _hops: Optional[List[List[int]]] = field(
+        default=None, init=False, repr=False, compare=False
     )
 
-    @property
-    def n_workers(self) -> int:
-        return self.graph.number_of_nodes()
+    def __post_init__(self) -> None:
+        self.n_workers = int(self.n_workers)
+        pairs = set()
+        for u, v in self.links:
+            u, v = int(u), int(v)
+            if u == v or not (0 <= u < self.n_workers and 0 <= v < self.n_workers):
+                raise ValueError(
+                    f"topology {self.name!r}: edge ({u}, {v}) is not between two "
+                    f"distinct ranks of 0..{self.n_workers - 1}"
+                )
+            pairs.add((min(u, v), max(u, v)))
+        self.links = tuple(sorted(pairs))
+        self._adjacency = [[] for _ in range(self.n_workers)]
+        for u, v in self.links:
+            self._adjacency[u].append(v)
+            self._adjacency[v].append(u)
+        for peers in self._adjacency:
+            peers.sort()
 
     def diameter_hops(self) -> int:
         """Largest hop count between any two workers."""
-        if self.n_workers <= 1:
-            return 0
-        return int(nx.diameter(self.graph))
+        return max(max(row) for row in self.hops_matrix())
 
     def average_hops(self) -> float:
-        """Mean shortest-path hop count over worker pairs."""
-        if self.n_workers <= 1:
+        """Mean shortest-path hop count over ordered worker pairs."""
+        n = self.n_workers
+        if n <= 1:
             return 0.0
-        return float(nx.average_shortest_path_length(self.graph))
+        return sum(sum(row) for row in self.hops_matrix()) / (n * (n - 1))
 
     def path_hops(self, src: int, dst: int) -> int:
-        return int(self.hops_matrix()[int(src)][int(dst)])
+        return self.hops_matrix()[int(src)][int(dst)]
 
-    def hops_matrix(self) -> Dict[int, Dict[int, int]]:
-        """All-pairs hop counts, computed once and cached.
+    def hops_matrix(self) -> List[List[int]]:
+        """All-pairs hop counts (``[src][dst]``), computed once and cached.
 
         The trainer prices every push/pull/send of every iteration through
         this table; recomputing shortest paths per message would dominate
-        the simulation.
+        the simulation.  A disconnected graph raises ``ValueError``.
         """
         if self._hops is None:
-            self._hops = {
-                int(src): {int(dst): int(h) for dst, h in lengths.items()}
-                for src, lengths in nx.all_pairs_shortest_path_length(self.graph)
-            }
+            matrix = []
+            for src in range(self.n_workers):
+                row = [-1] * self.n_workers
+                row[src] = 0
+                frontier = [src]
+                while frontier:
+                    following = []
+                    for u in frontier:
+                        for v in self._adjacency[u]:
+                            if row[v] < 0:
+                                row[v] = row[u] + 1
+                                following.append(v)
+                    frontier = following
+                if -1 in row:
+                    raise ValueError(
+                        f"topology {self.name!r} is disconnected: rank "
+                        f"{row.index(-1)} is unreachable from rank {src}"
+                    )
+                matrix.append(row)
+            self._hops = matrix
         return self._hops
 
     def neighbors(self, rank: int) -> List[int]:
         """Directly connected ranks (one-hop peers), sorted."""
-        return sorted(int(v) for v in self.graph.neighbors(rank))
+        return list(self._adjacency[rank])
 
     def latency_scale(self) -> float:
         """Multiplier applied to the alpha term: the graph diameter (>= 1)."""
         return float(max(self.diameter_hops(), 1))
 
     def edges(self) -> List[Tuple[int, int]]:
-        return [(int(u), int(v)) for u, v in self.graph.edges()]
+        return list(self.links)
 
 
 def ring_topology(n_workers: int) -> ClusterTopology:
     """Workers connected in a cycle (ring all-reduce layout)."""
     if n_workers <= 0:
         raise ValueError("n_workers must be positive")
-    if n_workers == 1:
-        graph = nx.Graph()
-        graph.add_node(0)
-    elif n_workers == 2:
-        graph = nx.Graph()
-        graph.add_edge(0, 1)
-    else:
-        graph = nx.cycle_graph(n_workers)
-    return ClusterTopology(graph=graph, name="ring")
+    links = [(rank, (rank + 1) % n_workers) for rank in range(n_workers)] if n_workers > 1 else []
+    return ClusterTopology(n_workers, links, name="ring")
 
 
 def star_topology(n_workers: int) -> ClusterTopology:
     """All workers connected to worker 0 (parameter-server layout)."""
     if n_workers <= 0:
         raise ValueError("n_workers must be positive")
-    graph = nx.star_graph(n_workers - 1) if n_workers > 1 else nx.Graph()
-    if n_workers == 1:
-        graph.add_node(0)
-    return ClusterTopology(graph=graph, name="star")
+    return ClusterTopology(n_workers, [(0, rank) for rank in range(1, n_workers)], name="star")
 
 
 def tree_topology(n_workers: int, branching: int = 2) -> ClusterTopology:
     """Balanced tree of the given branching factor (binomial broadcast layout)."""
     if n_workers <= 0:
         raise ValueError("n_workers must be positive")
-    graph = nx.Graph()
-    graph.add_nodes_from(range(n_workers))
-    for child in range(1, n_workers):
-        parent = (child - 1) // branching
-        graph.add_edge(parent, child)
-    return ClusterTopology(graph=graph, name="tree")
+    links = [((child - 1) // branching, child) for child in range(1, n_workers)]
+    return ClusterTopology(n_workers, links, name="tree")
 
 
 def fat_node_topology(n_nodes: int, gpus_per_node: int) -> ClusterTopology:
     """Paper-like layout: fully connected GPUs inside a node, ring across nodes."""
     if n_nodes <= 0 or gpus_per_node <= 0:
         raise ValueError("n_nodes and gpus_per_node must be positive")
-    graph = nx.Graph()
-    total = n_nodes * gpus_per_node
-    graph.add_nodes_from(range(total))
+    links = []
     for node in range(n_nodes):
-        members = list(range(node * gpus_per_node, (node + 1) * gpus_per_node))
-        for i, u in enumerate(members):
-            for v in members[i + 1 :]:
-                graph.add_edge(u, v)
+        members = range(node * gpus_per_node, (node + 1) * gpus_per_node)
+        links.extend((u, v) for u in members for v in members if u < v)
     # Ring over node leaders.
     if n_nodes > 1:
         leaders = [node * gpus_per_node for node in range(n_nodes)]
-        for i, leader in enumerate(leaders):
-            graph.add_edge(leader, leaders[(i + 1) % n_nodes])
-    return ClusterTopology(graph=graph, name="fat_node")
+        links.extend((leader, leaders[(i + 1) % n_nodes]) for i, leader in enumerate(leaders))
+    return ClusterTopology(n_nodes * gpus_per_node, links, name="fat_node")
 
 
 # ---------------------------------------------------------------------- #

@@ -15,7 +15,6 @@ from __future__ import annotations
 import time
 
 import numpy as np
-from scipy import special
 
 from repro.sparsifiers.base import SelectionResult, Sparsifier
 from repro.utils.topk_ops import threshold_indices
@@ -24,7 +23,13 @@ __all__ = ["GaussianKSparsifier"]
 
 
 def _gaussian_two_sided_quantile(density: float) -> float:
-    """Return ``z`` such that ``P(|X| > z sigma) = density`` for X ~ N(0, 1)."""
+    """Return ``z`` such that ``P(|X| > z sigma) = density`` for X ~ N(0, 1).
+
+    scipy is imported here, not at module scope, to keep it off the import
+    path of runs that never select with this sparsifier.
+    """
+    from scipy import special
+
     density = min(max(density, 1e-12), 1.0)
     return float(special.ndtri(1.0 - density / 2.0))
 

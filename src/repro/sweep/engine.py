@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -390,6 +390,10 @@ def _run_parallel(
         pool = session.executor(max_workers)
         owns_pool = False
     else:
+        # Imported here: the process pool pulls in multiprocessing, which
+        # serial sweeps (jobs == 1) never need.
+        from concurrent.futures import ProcessPoolExecutor
+
         pool = ProcessPoolExecutor(max_workers=max_workers)
         owns_pool = True
     try:
