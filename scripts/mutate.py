@@ -12,7 +12,7 @@ The script edits source files in place, so run it on a scratch copy::
 
     git clone . /tmp/repro-mutate
     python scripts/mutate.py --root /tmp/repro-mutate
-    python scripts/mutate.py --root /tmp/repro-mutate --only alg3-l1-norms tests/test_deft_k_assignment.py
+    python scripts/mutate.py --root /tmp/repro-mutate tests/test_deft_k_assignment.py
 
 It prints a Markdown kill table and exits 1 if any mutant survives.
 """
@@ -41,14 +41,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("selection", nargs="*", default=["tests/", "bench/"], help="pytest paths (default: tests/ bench/)")
     parser.add_argument("--root", type=Path, default=HERE.parent, help="checkout to mutate (default: this one)")
-    parser.add_argument("--mutants", type=Path, default=HERE / "mutants.json")
-    parser.add_argument("--only", nargs="*", default=None, help="run just these mutant names")
     args = parser.parse_args(argv)
 
     root = args.root.resolve()
-    mutants = json.loads(args.mutants.read_text(encoding="utf-8"))
-    if args.only is not None:
-        mutants = [m for m in mutants if m["name"] in args.only]
+    mutants = json.loads((HERE / "mutants.json").read_text(encoding="utf-8"))
     if run_selection(root, args.selection) != 0:
         print(f"the unmutated tree already fails {' '.join(args.selection)}", file=sys.stderr)
         return 2

@@ -43,7 +43,7 @@ class ClusterTopology:
     """
 
     n_workers: int
-    links: Iterable[Tuple[int, int]] = ()
+    links: Iterable[Tuple[int, int]]
     name: str = "custom"
     #: Sorted one-hop peers of every rank.
     _adjacency: List[List[int]] = field(init=False, repr=False, compare=False)
