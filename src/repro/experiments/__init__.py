@@ -31,25 +31,13 @@ robustness      Beyond the paper: attack x aggregator x sparsifier
 staleness       Beyond the paper: execution x sparsifier x straggler
 placement       Beyond the paper: topology x server placement x schedule
 ==============  ====================================================
+
+The submodules load on first attribute access (PEP 562): a run that only
+needs :mod:`~repro.experiments.config` does not import every figure module
+and :mod:`repro.analysis` with it.
 """
 
-from repro.experiments import config, runner
-from repro.experiments import (
-    fig01_buildup,
-    fig03_convergence,
-    fig04_density,
-    fig05_error,
-    fig06_error_matched,
-    fig07_breakdown,
-    fig08_density_sweep,
-    fig09_speedup,
-    fig10_scaleout,
-    placement_grid,
-    robustness_grid,
-    staleness_grid,
-    table1_properties,
-    table2_workloads,
-)
+import importlib
 
 __all__ = [
     "config",
@@ -69,3 +57,13 @@ __all__ = [
     "robustness_grid",
     "staleness_grid",
 ]
+
+
+def __getattr__(name):
+    if name in __all__:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -1,11 +1,12 @@
-"""Cold-start guard: third-party imports a run does not use stay off the import path.
+"""Cold-start guard: imports a run does not use stay off the import path.
 
 ``import repro.api`` and ``python -m repro list`` are the fixed start-up
 cost of every run, CLI call and sweep worker.  scipy (one ``ndtri`` call in
 ALIE and Gaussian-k), networkx (a test-only oracle) and the process-pool
-machinery (only ``jobs > 1`` sweeps) must not be loaded by either.  Each
-probe runs in a fresh interpreter, so nothing this test process imported
-can hide a regression.
+machinery (only ``jobs > 1`` sweeps) must not be loaded by either.  Building
+a run's task needs ``repro.experiments.config`` only, not the figure and
+grid drivers or ``repro.analysis``.  Each probe runs in a fresh
+interpreter, so nothing this test process imported can hide a regression.
 """
 
 from __future__ import annotations
@@ -40,8 +41,13 @@ _PROBES = {
 }
 
 
+#: Building a task may load these of the experiment drivers' packages.
+_TASK_MODULES = ("repro.experiments", "repro.experiments.config")
+
+
 def _loaded_after(action: str) -> list:
-    code = f"import json, sys\n{action}\nprint(json.dumps(sorted(m for m in {_HEAVY_MODULES!r} if m in sys.modules)))\n"
+    """Every module in ``sys.modules`` after ``action`` in a fresh interpreter."""
+    code = f"import json, sys\n{action}\nprint(json.dumps(sorted(sys.modules)))\n"
     src = str(Path(repro.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -54,7 +60,18 @@ def _loaded_after(action: str) -> list:
 
 @pytest.mark.parametrize("probe", sorted(_PROBES))
 def test_cold_start_loads_no_heavy_third_party_module(probe):
-    assert _loaded_after(_PROBES[probe]) == []
+    assert [m for m in _loaded_after(_PROBES[probe]) if m in _HEAVY_MODULES] == []
+
+
+def test_task_build_loads_no_experiment_driver():
+    loaded = _loaded_after("import repro.api\nrepro.api.Session().task_for('lm', 'smoke', 0)")
+    drivers = [
+        m
+        for m in loaded
+        if m.startswith(("repro.experiments", "repro.analysis")) and m not in _TASK_MODULES
+    ]
+    assert "repro.experiments.config" in loaded
+    assert drivers == []
 
 
 # --------------------------------------------------------------------- #
