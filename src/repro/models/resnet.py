@@ -44,7 +44,7 @@ class BasicBlock(nn.Module):
             self.proj_bn = nn.BatchNorm2d(out_channels)
 
     def forward(self, x: Tensor) -> Tensor:
-        out = self.bn1(self.conv1(x)).relu()
+        out = self.bn1(self.conv1(x), relu=True)
         out = self.bn2(self.conv2(out))
         shortcut = x
         if self.needs_projection:
@@ -96,7 +96,7 @@ class ResNetCIFAR(nn.Module):
         self.head = nn.Linear(prev, num_classes, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:
-        out = self.stem_bn(self.stem(x)).relu()
+        out = self.stem_bn(self.stem(x), relu=True)
         for block in self.stages:
             out = block(out)
         pooled = global_avg_pool2d(out)

@@ -95,9 +95,13 @@ def conv2d(
     oh = conv_output_size(h, kh, stride, padding)
     ow = conv_output_size(w, kw, stride, padding)
 
-    cols = im2col(x.data, (kh, kw), stride, padding)  # (N, C*KH*KW, OH*OW)
-    w_mat = weight.data.reshape(c_out, -1)  # (C_out, C*KH*KW)
-    out_data = np.einsum("of,nfs->nos", w_mat, cols, optimize=True)
+    cols = im2col(x.data, (kh, kw), stride, padding)  # (N, F, S) with F = C*KH*KW, S = OH*OW
+    f, s = cols.shape[1:]
+    w_mat = weight.data.reshape(c_out, f)
+    # One (N*S, F) @ (F, C_out) GEMM, viewed as (N, C_out, S): the values and
+    # the channels-last strides of einsum("of,nfs->nos"), which batch-norm's
+    # reductions (they sum in memory order) depend on.
+    out_data = (cols.transpose(0, 2, 1).reshape(-1, f) @ w_mat.T).reshape(n, s, c_out).transpose(0, 2, 1)
     out_data = out_data.reshape(n, c_out, oh, ow)
     if bias is not None:
         out_data = out_data + bias.data.reshape(1, c_out, 1, 1)
@@ -106,11 +110,12 @@ def conv2d(
 
     def backward(grad, grads, x_t=x, w_t=weight, b_t=bias, cached_cols=cols):
         g = grad.reshape(n, c_out, oh * ow)  # (N, C_out, S)
-        # dW: sum over batch of g @ cols^T
+        # dW: sum over batch of g @ cols^T.  One (C_out, N*S) @ (N*S, F) GEMM
+        # would not give einsum's bits on every shape, so it stays einsum.
         dw = np.einsum("nos,nfs->of", g, cached_cols, optimize=True).reshape(w_t.data.shape)
         w_t._receive(dw, grads)
         # dX: lower the gradient back through the GEMM then col2im
-        dcols = np.einsum("of,nos->nfs", w_t.data.reshape(c_out, -1), g, optimize=True)
+        dcols = np.matmul(w_t.data.reshape(c_out, -1).T, g)
         dx = col2im(dcols, (n, c_in, h, w), (kh, kw), stride, padding)
         x_t._receive(dx, grads)
         if b_t is not None:

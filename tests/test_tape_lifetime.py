@@ -113,7 +113,7 @@ def _make_calls(tree):
 
 
 def test_no_closure_references_the_tensor_it_produces():
-    files = sorted((SRC / "tensor").glob("*.py")) + [SRC / "nn" / "recurrent.py"]
+    files = sorted((SRC / "tensor").glob("*.py")) + [SRC / "nn" / "recurrent.py", SRC / "nn" / "norm.py"]
     checked = 0
     for path in files:
         for target, closure in _make_calls(ast.parse(path.read_text())):
