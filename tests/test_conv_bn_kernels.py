@@ -12,7 +12,7 @@ tolerance:
 * the convolution's forward GEMM against ``einsum("of,nfs->nos")`` (values
   and strides) and its input-gradient GEMM against
   ``einsum("of,nos->nfs")`` (values), on every convolution shape of the
-  ``cv`` models.
+  ``cv`` models, with ``im2col``'s zero border against ``np.pad``.
 """
 
 from __future__ import annotations
@@ -151,6 +151,8 @@ def test_conv_gemms_match_einsum(shape, batch):
     out = conv2d(x, weight, stride=stride, padding=padding)
 
     cols = im2col(x.data, (k, k), stride, padding)
+    pad = ((0, 0), (0, 0), (padding, padding), (padding, padding))
+    assert np.array_equal(cols, im2col(np.pad(x.data, pad), (k, k), stride, 0))
     w_mat = weight.data.reshape(c_out, -1)
     expected = np.einsum("of,nfs->nos", w_mat, cols, optimize=True).reshape(out.shape)
     assert np.array_equal(out.data, expected)
