@@ -10,16 +10,16 @@ tolerance), the sweep cache's ``CACHE_VERSION`` and the environment the
 bits were recorded under (NumPy version, BLAS build and the BLAS core
 picked at run time)::
 
-    PYTHONPATH=src python scripts/record_fingerprints.py            # rewrite
-    PYTHONPATH=src python scripts/record_fingerprints.py --check    # compare only
+    PYTHONPATH=src python scripts/record_fingerprints.py
 
 Re-record only together with a ``CACHE_VERSION`` bump: a change that moves
-these bits changes what a cached spec would produce.
+these bits changes what a cached spec would produce.  The script refuses to
+overwrite changed fingerprints recorded under the same ``CACHE_VERSION`` in
+the same environment.
 """
 
 from __future__ import annotations
 
-import argparse
 import ctypes
 import glob
 import hashlib
@@ -96,10 +96,6 @@ def compute_runs() -> dict:
     return runs
 
 
-def record() -> dict:
-    return {"cache_version": CACHE_VERSION, "environment": environment(), "runs": compute_runs()}
-
-
 def changed_runs(recorded: dict, current: dict) -> list:
     """Names of the runs whose fingerprint differs (or exists on one side only)."""
     keys = set(recorded["runs"]) | set(current["runs"])
@@ -110,28 +106,19 @@ def changed_runs(recorded: dict, current: dict) -> list:
     )
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--check", action="store_true", help="compare with the file instead of rewriting it")
-    args = parser.parse_args(argv)
-    current = record()
-    recorded = json.loads(FINGERPRINTS.read_text()) if FINGERPRINTS.exists() else None
-    changed = changed_runs(recorded, current) if recorded else sorted(current["runs"])
-    if args.check:
-        print("changed runs:", ", ".join(changed) if changed else "none")
-        return 1 if changed else 0
-    if (
-        changed
-        and recorded
-        and recorded["environment"] == current["environment"]
-        and recorded["cache_version"] == CACHE_VERSION
-    ):
-        print(
-            f"refusing to re-record: {', '.join(changed)} changed while CACHE_VERSION is still "
-            f"{CACHE_VERSION}; bump it in src/repro/sweep/cache.py first",
-            file=sys.stderr,
-        )
-        return 1
+def main() -> int:
+    current = {"cache_version": CACHE_VERSION, "environment": environment(), "runs": compute_runs()}
+    if FINGERPRINTS.exists():
+        recorded = json.loads(FINGERPRINTS.read_text())
+        changed = changed_runs(recorded, current)
+        same_setting = recorded["environment"] == current["environment"]
+        if changed and same_setting and recorded["cache_version"] == CACHE_VERSION:
+            print(
+                f"refusing to re-record: {', '.join(changed)} changed while CACHE_VERSION is still "
+                f"{CACHE_VERSION}; bump it in src/repro/sweep/cache.py first",
+                file=sys.stderr,
+            )
+            return 1
     FINGERPRINTS.write_text(json.dumps(current, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(current['runs'])} fingerprints to {os.path.relpath(FINGERPRINTS)}")
     return 0
