@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import (
     ClusterSpec,
@@ -19,6 +21,7 @@ from repro.api import (
 from repro.api import run as api_run
 from repro.api.spec import spec_fields
 from repro.cli import _build_parser, spec_from_argv
+from repro.plugins import available_components
 
 
 def smoke_spec(**overrides) -> RunSpec:
@@ -351,6 +354,48 @@ class TestValidationMatrix:
                 execution=ExecutionSpec(model="async_bsp"),
             ))
         assert session._tasks == {}
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        execution=st.sampled_from(available_components("execution")),
+        attack=st.sampled_from(available_components("attack")),
+        n_byzantine=st.sampled_from((0, 1)),
+        aggregator=st.sampled_from((None,) + tuple(available_components("aggregator"))),
+        topology=st.sampled_from((None, "flat", "ring", "star", "fat_node:2x2")),
+        server_rank=st.sampled_from((None, 0, 4)),
+        momentum=st.sampled_from((0.0, 0.9)),
+        sparsifier=st.sampled_from(("deft", "topk")),
+        robust_norms=st.booleans(),
+    )
+    def test_validate_raises_exactly_the_spec_refusal(
+        self, execution, attack, n_byzantine, aggregator, topology, server_rank,
+        momentum, sparsifier, robust_norms,
+    ):
+        """``validate()`` refuses a spec exactly when the exception-free
+        predicate does, with the predicate's reason as its message."""
+        from repro.sweep import spec_refusal
+
+        spec = smoke_spec(
+            cluster=ClusterSpec(n_workers=4, topology=topology, server_rank=server_rank),
+            optimizer=OptimizerSpec(
+                momentum=momentum, epochs=1, max_iterations_per_epoch=2, batch_size=8
+            ),
+            compression=CompressionSpec(
+                sparsifier=sparsifier, density=0.05,
+                kwargs={"robust_norms": True} if robust_norms else {},
+            ),
+            robustness=RobustnessSpec(
+                aggregator=aggregator, attack=attack, n_byzantine=n_byzantine
+            ),
+            execution=ExecutionSpec(model=execution),
+        )
+        reason = spec_refusal(spec)
+        if reason is None:
+            spec.validate()
+        else:
+            with pytest.raises(ValueError) as refused:
+                spec.validate()
+            assert str(refused.value) == reason
 
 
 class TestSessionRun:

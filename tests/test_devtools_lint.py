@@ -165,6 +165,20 @@ def test_capability_vocabulary_covers_every_declared_flag():
     assert declared <= set(CAPABILITY_VOCABULARY)
 
 
+def test_contract_rule_sees_every_capability_the_validator_reads():
+    """The plugin-contract rule finds capability reads by their call form
+    only (``caps.get``, ``topo_caps.get``, ``.capability``); pinning the set
+    it sees keeps a renamed variable from hiding a read from the rule."""
+    from repro.devtools.contracts import _vocabulary_consumers
+
+    assert {flag for _, flag in _vocabulary_consumers()} == {
+        "colluding", "corrupts_data", "default_aggregator", "default_topology",
+        "exchanges_gradients", "neighbor_graph", "one_hop_server",
+        "parameter_server", "requires_neighbor_topology", "supports_momentum",
+        "supports_robust_norms", "synchronized_view", "uses_aggregator",
+    }
+
+
 def test_undeclared_dependency_fixture_flags_exactly_the_undeclared_imports():
     from repro.devtools.dependencies import check_declared_dependencies
 
