@@ -21,10 +21,11 @@ it, so a new field cannot exist without a flag or fall out of a round-trip.
 ``None`` fields mean "use the workload/scale preset" (density, epochs,
 batch size, learning rate) or "use the execution model's declared default"
 (aggregator, topology).  :meth:`RunSpec.resolve` fills every ``None``, runs
-:meth:`RunSpec.validate` -- the single validator: range checks plus the
-capability matrix of :mod:`repro.plugins.capabilities` -- and returns a
-fully concrete spec; two specs that resolve equal describe the same run,
-whether they arrived via Python, a JSON file or a CLI argv.
+:meth:`RunSpec.validate` -- the single validator: range checks, the
+capability matrix of :mod:`repro.plugins.capabilities` and the components'
+kwargs schemas -- and returns a fully concrete spec; two specs that
+resolve equal describe the same run, whether they arrived via Python, a
+JSON file or a CLI argv.
 """
 
 from __future__ import annotations
@@ -52,9 +53,10 @@ from repro.execution.straggler import STRAGGLER_PROFILES
 from repro.observability import ObservabilitySpec
 from repro.plugins import (
     available_components,
+    combination_refusal,
     default_aggregator_for,
     default_topology_for,
-    validate_run_combination,
+    get_component,
 )
 
 
@@ -312,11 +314,15 @@ class RunSpec:
         return resolved
 
     def validate(self) -> None:
-        """The single validator: range checks, then the capability matrix.
+        """The single validator: range checks, the capability matrix, then
+        the components' kwargs schemas.
 
         Raises ``KeyError`` for unknown component names and ``ValueError``
-        for out-of-range knobs and for combinations some component refuses,
-        before anything is built.
+        for out-of-range knobs, for combinations the capability matrix
+        refuses (with :func:`repro.plugins.combination_refusal`'s reason)
+        and for kwargs a component's schema rejects -- before anything is
+        built.  Preset knobs still ``None`` on an unresolved spec are
+        skipped.
         """
         if self.cluster.n_workers <= 0:
             raise ValueError(f"n_workers must be positive, got {self.cluster.n_workers}")
@@ -331,12 +337,35 @@ class RunSpec:
             )
         if self.cluster.base_compute_seconds <= 0:
             raise ValueError("base_compute_seconds must be positive")
-        validate_run_combination(
-            **self.combination(),
-            aggregator_kwargs=self.robustness.aggregator_kwargs,
-            attack_kwargs=self.robustness.attack_kwargs,
-            execution_kwargs=self.execution.kwargs,
-        )
+        # Written as "not <valid>" so NaN is refused too.
+        optimizer, density = self.optimizer, self.compression.density
+        if density is not None and not 0.0 < density <= 1.0:
+            raise ValueError(f"density must be in (0, 1], got {density}")
+        if optimizer.lr is not None and not optimizer.lr > 0:
+            raise ValueError(f"lr must be positive, got {optimizer.lr}")
+        if optimizer.batch_size is not None and not optimizer.batch_size > 0:
+            raise ValueError(f"batch_size must be positive, got {optimizer.batch_size}")
+        for knob_name in ("epochs", "max_iterations_per_epoch"):
+            value = getattr(optimizer, knob_name)
+            if value is not None and not value >= 1:
+                raise ValueError(f"{knob_name} must be >= 1, got {value}")
+        for knob_name in ("momentum", "weight_decay"):
+            value = getattr(optimizer, knob_name)
+            if not value >= 0:
+                raise ValueError(f"{knob_name} must be >= 0, got {value}")
+
+        combination = self.combination()
+        reason = combination_refusal(**combination)
+        if reason:
+            raise ValueError(reason)
+        for kind, name, kwargs in (
+            ("aggregator", combination["aggregator"], self.robustness.aggregator_kwargs),
+            ("attack", self.robustness.attack, self.robustness.attack_kwargs),
+            ("execution", self.execution.model, self.execution.kwargs),
+            ("sparsifier", self.compression.sparsifier, self.compression.kwargs),
+        ):
+            if kwargs:
+                get_component(kind, name).coerce_kwargs(kwargs)
 
     def combination(self) -> Dict[str, Any]:
         """The capability matrix's view of this spec: the keyword arguments

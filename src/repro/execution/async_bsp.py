@@ -55,22 +55,6 @@ class AsyncBSPExecution(ExecutionModel):
             raise ValueError(f"max_staleness must be >= 0, got {max_staleness}")
         self.max_staleness = int(max_staleness)
 
-    def _post_bind(self) -> None:
-        # Per-rank attacks (sign_flip, gaussian_noise, label_flip) apply to
-        # each arrival; colluding attacks need a synchronized view of every
-        # worker's accumulator, which an asynchronous schedule never has.
-        # The refusal itself lives with the capability declarations.
-        from repro.plugins.capabilities import check_execution_supports_attack
-
-        adversary = self.trainer.adversary
-        check_execution_supports_attack(
-            self.name,
-            attack_name=adversary.name,
-            colluding=adversary.colluding,
-            corrupts_data=adversary.corrupts_data,
-            n_byzantine=adversary.n_byzantine,
-        )
-
     # ------------------------------------------------------------------ #
     def run(self) -> Dict[str, float]:
         trainer = self._require_trainer()

@@ -107,7 +107,10 @@ class ExecutionModel:
         self._post_bind()
 
     def _post_bind(self) -> None:
-        """Hook for subclasses validating their knobs against the trainer's spec."""
+        """Hook for subclasses deriving state from the bound trainer.
+
+        The spec was validated when it resolved; nothing here re-checks it.
+        """
 
     def _require_trainer(self):
         if self.trainer is None:

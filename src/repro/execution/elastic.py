@@ -47,29 +47,6 @@ class ElasticAveragingExecution(ExecutionModel):
         if self.elastic_alpha is None:
             # The EASGD paper's stability choice: beta/n with beta = 0.9.
             self.elastic_alpha = 0.9 / self.trainer.n_workers
-        # The elastic exchange updates the center directly (never through
-        # the optimizer) and carries parameters, not gradients -- so
-        # momentum/weight_decay and accumulator-level attacks would be
-        # silently dropped.  Both refusals live with the capability
-        # declarations (supports_momentum / exchanges_gradients).
-        from repro.plugins.capabilities import (
-            check_execution_supports_attack,
-            check_execution_supports_optimizer,
-        )
-
-        check_execution_supports_optimizer(
-            self.name,
-            momentum=self.trainer.spec.optimizer.momentum,
-            weight_decay=self.trainer.spec.optimizer.weight_decay,
-        )
-        adversary = self.trainer.adversary
-        check_execution_supports_attack(
-            self.name,
-            attack_name=adversary.name,
-            colluding=adversary.colluding,
-            corrupts_data=adversary.corrupts_data,
-            n_byzantine=adversary.n_byzantine,
-        )
 
     # ------------------------------------------------------------------ #
     def run(self) -> Dict[str, float]:

@@ -46,43 +46,10 @@ class GossipExecution(ExecutionModel):
     uses_parameter_server = False
 
     def _post_bind(self) -> None:
-        from repro.plugins.capabilities import (
-            check_execution_supports_attack,
-            check_execution_supports_optimizer,
-            check_execution_supports_topology,
-            check_execution_uses_aggregator,
-        )
-
-        spec = self.trainer.spec
-        check_execution_supports_topology(
-            self.name,
-            topology=spec.cluster.topology,
-            server_rank=spec.cluster.server_rank,
-            n_workers=spec.cluster.n_workers,
-        )
-        # The neighbourhood average is hard-coded (see module docstring);
-        # a configured robust rule would be silently ignored.
-        check_execution_uses_aggregator(self.name, spec.robustness.aggregator)
-        # The averaged delta is applied to the local copies directly, never
-        # through the trainer's optimizer.
-        check_execution_supports_optimizer(
-            self.name,
-            momentum=spec.optimizer.momentum,
-            weight_decay=spec.optimizer.weight_decay,
-        )
-        adversary = self.trainer.adversary
-        check_execution_supports_attack(
-            self.name,
-            attack_name=adversary.name,
-            colluding=adversary.colluding,
-            corrupts_data=adversary.corrupts_data,
-            n_byzantine=adversary.n_byzantine,
-        )
-        if self.trainer.topology is None:  # pragma: no cover - guarded above
-            raise ValueError("gossip requires a neighbour topology")
+        # resolve() has refused edge-less topologies, so there is a graph.
         self._neighbors = {
             rank: self.trainer.topology.neighbors(rank)
-            for rank in range(spec.cluster.n_workers)
+            for rank in range(self.trainer.n_workers)
         }
 
     # ------------------------------------------------------------------ #

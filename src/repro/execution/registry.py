@@ -1,9 +1,9 @@
 """Execution-model registrations over the unified :mod:`repro.plugins` registry.
 
 Declares the built-in schedules as :class:`~repro.plugins.ComponentSpec`
-entries.  The capability flags carried here replace the refuse-logic that
-used to live only inside the models' ``_post_bind`` hooks and the
-runner-level aggregator auto-selection:
+entries.  The capability flags carried here are all a schedule says about
+what it can host: :func:`repro.plugins.combination_refusal` reads them to
+refuse a run when its spec resolves, and resolution reads the defaults:
 
 - ``synchronized_view``: whether all workers share an iteration (colluding
   attacks require it; ``async_bsp`` cannot provide it),

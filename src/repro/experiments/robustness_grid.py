@@ -25,8 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api import RunSpec
 from repro.experiments import config as expcfg
-from repro.plugins import combination_refusal, valid_grid_cells
-from repro.sweep import ResultCache, run_sweep
+from repro.sweep import ResultCache, run_sweep, spec_refusal
 
 __all__ = ["run", "format_report", "DEFAULT_AGGREGATORS", "DEFAULT_ATTACKS", "DEFAULT_SPARSIFIERS"]
 
@@ -65,52 +64,33 @@ def run(
     metric = _METRIC[workload]
     higher_better = _HIGHER_BETTER[workload]
 
-    # Ask the registry which (execution x attack x aggregator) cells the
-    # declared capabilities accept; benign cells run with n_byzantine=0 and
-    # are always hostable.
-    valid = set(
-        valid_grid_cells(
-            [execution],
-            [attack for attack in attacks if attack != "none"],
-            aggregators,
-            n_workers=n_workers,
-            n_byzantine=n_byzantine,
-        )
-    )
-
     keys: List[Tuple[str, str, str]] = []
     specs = []
     skipped: Dict[Tuple[str, str, str], str] = {}
     for sparsifier in sparsifiers:
         for aggregator in aggregators:
             for attack in attacks:
+                spec = RunSpec.from_flat(
+                    workload=workload,
+                    sparsifier=sparsifier,
+                    density=density,
+                    n_workers=n_workers,
+                    scale=scale,
+                    epochs=epochs,
+                    seed=seed,
+                    max_iterations_per_epoch=max_iterations_per_epoch,
+                    aggregator=aggregator,
+                    attack=attack,
+                    n_byzantine=n_byzantine if attack != "none" else 0,
+                    execution=execution,
+                )
+                reason = spec_refusal(spec)
                 key = (sparsifier, aggregator, attack)
-                if attack != "none" and (execution, attack, aggregator) not in valid:
-                    skipped[key] = combination_refusal(
-                        execution=execution,
-                        attack=attack,
-                        aggregator=aggregator,
-                        n_workers=n_workers,
-                        n_byzantine=n_byzantine,
-                    ) or "refused by the capability matrix"
+                if reason is not None:
+                    skipped[key] = reason
                     continue
                 keys.append(key)
-                specs.append(
-                    RunSpec.from_flat(
-                        workload=workload,
-                        sparsifier=sparsifier,
-                        density=density,
-                        n_workers=n_workers,
-                        scale=scale,
-                        epochs=epochs,
-                        seed=seed,
-                        max_iterations_per_epoch=max_iterations_per_epoch,
-                        aggregator=aggregator,
-                        attack=attack,
-                        n_byzantine=n_byzantine if attack != "none" else 0,
-                        execution=execution,
-                    )
-                )
+                specs.append(spec)
 
     report = run_sweep(specs, jobs=jobs, cache=cache)
 

@@ -28,16 +28,9 @@ all pick it up.
 """
 
 from repro.plugins.capabilities import (
-    check_byzantine_count,
-    check_execution_supports_attack,
-    check_execution_supports_optimizer,
-    check_execution_supports_topology,
-    check_execution_uses_aggregator,
     combination_refusal,
     default_aggregator_for,
     default_topology_for,
-    valid_grid_cells,
-    validate_run_combination,
 )
 from repro.plugins.registry import (
     REGISTRY,
@@ -66,12 +59,5 @@ __all__ = [
     "load_builtin_components",
     "default_aggregator_for",
     "default_topology_for",
-    "check_byzantine_count",
-    "check_execution_supports_attack",
-    "check_execution_supports_optimizer",
-    "check_execution_supports_topology",
-    "check_execution_uses_aggregator",
-    "validate_run_combination",
     "combination_refusal",
-    "valid_grid_cells",
 ]

@@ -54,16 +54,14 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.aggregators.base import Aggregator
 from repro.aggregators.registry import build_aggregator
-from repro.attacks.base import Adversary
 from repro.attacks.registry import build_attack
 from repro.comm.cost_model import AlphaBetaModel
 from repro.data.dataloader import DataLoader
 from repro.data.partition import shard_dataset
 from repro.comm.backend import CollectiveBackend
 from repro.comm.simulated import SimulatedBackend
-from repro.execution.base import ExecutionModel, RoundRecord, load_flat_parameters
+from repro.execution.base import RoundRecord, load_flat_parameters
 from repro.execution.straggler import VirtualClock, WorkerSpeedModel
 from repro.observability import Observability
 from repro.sparsifiers.base import GradientLayout, Sparsifier
@@ -121,17 +119,13 @@ class DistributedTrainer:
         sparsifier: Sparsifier,
         spec: "RunSpec",
         backend: Optional[CollectiveBackend] = None,
-        cost_model: Optional[AlphaBetaModel] = None,
         run_name: Optional[str] = None,
-        aggregator: Optional[Aggregator] = None,
-        adversary: Optional[Adversary] = None,
-        execution: Optional[ExecutionModel] = None,
     ) -> None:
         """``spec`` must be resolved (:meth:`~repro.api.RunSpec.resolve`):
         the trainer reads it as-is and neither fills presets nor
-        re-validates.  It supplies every knob; the ``sparsifier`` instance
-        (and any component passed by keyword) takes the place of the one
-        the spec names.
+        re-validates.  It supplies every knob and names every component
+        the trainer builds; only the ``sparsifier`` instance takes the
+        place of the one the spec names.
         """
         if None in (
             spec.optimizer.lr, spec.optimizer.batch_size, spec.optimizer.epochs,
@@ -148,25 +142,17 @@ class DistributedTrainer:
         self.backend = backend if backend is not None else SimulatedBackend(n_workers)
         if self.backend.n_workers != n_workers:
             raise ValueError("backend worker count does not match the training configuration")
-        self.cost_model = cost_model if cost_model is not None else AlphaBetaModel()
+        self.cost_model = AlphaBetaModel()
         robustness = spec.robustness
-        self.aggregator = (
-            aggregator
-            if aggregator is not None
-            else build_aggregator(
-                robustness.aggregator,
-                n_byzantine=robustness.n_byzantine,
-                **robustness.aggregator_kwargs,
-            )
+        self.aggregator = build_aggregator(
+            robustness.aggregator,
+            n_byzantine=robustness.n_byzantine,
+            **robustness.aggregator_kwargs,
         )
-        self.adversary = (
-            adversary
-            if adversary is not None
-            else build_attack(
-                robustness.attack,
-                n_byzantine=robustness.n_byzantine,
-                **robustness.attack_kwargs,
-            )
+        self.adversary = build_attack(
+            robustness.attack,
+            n_byzantine=robustness.n_byzantine,
+            **robustness.attack_kwargs,
         )
 
         seeds = SeedSequenceFactory(seed)
@@ -215,15 +201,11 @@ class DistributedTrainer:
             seed=seed,
         )
         self.clock = VirtualClock(n_workers)
-        self.execution = (
-            execution
-            if execution is not None
-            else build_execution_model(
-                spec.execution.model,
-                local_steps=spec.execution.local_steps,
-                max_staleness=spec.execution.max_staleness,
-                **spec.execution.kwargs,
-            )
+        self.execution = build_execution_model(
+            spec.execution.model,
+            local_steps=spec.execution.local_steps,
+            max_staleness=spec.execution.max_staleness,
+            **spec.execution.kwargs,
         )
 
         name = (

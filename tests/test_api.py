@@ -248,7 +248,7 @@ class TestValidationMatrix:
 
     def test_full_matrix(self):
         """Every (execution x aggregator x attack) combination validates
-        exactly when the schedules' _post_bind hooks would accept it."""
+        exactly when the schedule can host it."""
         for execution in self.EXECUTIONS:
             for aggregator in self.AGGREGATORS:
                 for attack in self.ATTACKS:
@@ -308,6 +308,16 @@ class TestValidationMatrix:
         (dict(max_staleness=-1), "max_staleness must be >= 0, got -1"),
         (dict(base_compute_seconds=0.0), "base_compute_seconds must be positive"),
         (dict(base_compute_seconds=-1.0), "base_compute_seconds must be positive"),
+        (dict(density=0), r"density must be in \(0, 1\], got 0\.0"),
+        (dict(density=1.5), r"density must be in \(0, 1\], got 1\.5"),
+        (dict(density=-0.1), r"density must be in \(0, 1\], got -0\.1"),
+        (dict(density=float("nan")), r"density must be in \(0, 1\], got nan"),
+        (dict(lr=-1), r"lr must be positive, got -1\.0"),
+        (dict(batch_size=0), "batch_size must be positive, got 0"),
+        (dict(momentum=-0.5), "momentum must be >= 0, got -0.5"),
+        (dict(weight_decay=-1.0), "weight_decay must be >= 0, got -1.0"),
+        (dict(epochs=0), "epochs must be >= 1, got 0"),
+        (dict(max_iterations_per_epoch=0), "max_iterations_per_epoch must be >= 1, got 0"),
     ])
     def test_out_of_range_knobs_rejected_at_resolve(self, knobs, match):
         with pytest.raises(ValueError, match=match):

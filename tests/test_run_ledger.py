@@ -203,8 +203,8 @@ class TestSweepWiring:
 
     def test_failed_cells_ledgered_with_error(self, tmp_path):
         good = tiny_spec(seed=0)
-        # Density validation fires at sparsifier build time, inside the cell.
-        bad = tiny_spec(compression={"sparsifier": "deft", "density": 7.0})
+        # The attack's own constructor refuses the scale, inside the cell.
+        bad = tiny_spec(robustness={"attack": "sign_flip", "attack_kwargs": {"scale": -1.0}})
         ledger = RunLedger(tmp_path / "l.jsonl")
         report = run_sweep([good, bad], jobs=1, ledger=ledger)
         assert report.counts()["error"] == 1

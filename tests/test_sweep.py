@@ -128,6 +128,14 @@ class TestGridExpansion:
         ({"execution": {"local_steps": 0}}, "local_steps must be >= 1"),
         ({"execution": {"max_staleness": -1}}, "max_staleness must be >= 0"),
         ({"cluster": {"base_compute_seconds": -1}}, "base_compute_seconds must be positive"),
+        ({"compression": {"density": 0}}, r"density must be in \(0, 1\]"),
+        ({"compression": {"density": 1.5}}, r"density must be in \(0, 1\]"),
+        ({"optimizer": {"lr": -1}}, "lr must be positive"),
+        ({"optimizer": {"batch_size": 0}}, "batch_size must be positive"),
+        ({"optimizer": {"momentum": -0.5}}, "momentum must be >= 0"),
+        ({"optimizer": {"weight_decay": -1.0}}, "weight_decay must be >= 0"),
+        ({"optimizer": {"epochs": 0}}, "epochs must be >= 1"),
+        ({"optimizer": {"max_iterations_per_epoch": 0}}, "max_iterations_per_epoch must be >= 1"),
     ])
     def test_malformed_cell_fails_at_expansion_and_exits_2(
         self, overlay, match, tmp_path, capsys
@@ -189,23 +197,21 @@ class TestCapabilityPruning:
         assert len(expansion.pruned) == 1
         assert "robust-norms is not supported" in expansion.pruned[0].reason
 
-    def test_valid_grid_cells_helper(self):
-        from repro.plugins import valid_grid_cells
+    def test_spec_refusal_over_executions_and_attacks(self):
+        def refusal(execution, attack):
+            return spec_refusal(tiny_spec(
+                cluster={"n_workers": 4},
+                robustness={"aggregator": "mean", "attack": attack, "n_byzantine": 1},
+                execution={"model": execution},
+            ))
 
-        cells = list(valid_grid_cells(
-            ["synchronous", "async_bsp", "elastic"],
-            ["none", "alie", "sign_flip"],
-            ["mean"],
-            n_workers=4,
-            n_byzantine=1,
-        ))
         # none is hosted everywhere; alie needs a synchronized view (not
         # async); sign_flip corrupts accumulators (not elastic, which
         # exchanges parameters).
-        assert ("synchronous", "alie", "mean") in cells
-        assert ("async_bsp", "alie", "mean") not in cells
-        assert ("elastic", "sign_flip", "mean") not in cells
-        assert ("async_bsp", "none", "mean") in cells
+        assert refusal("synchronous", "alie") is None
+        assert "synchronized group view" in refusal("async_bsp", "alie")
+        assert "never exchanges" in refusal("elastic", "sign_flip")
+        assert refusal("async_bsp", "none") is None
 
 
 # ---------------------------------------------------------------------- #
@@ -324,13 +330,13 @@ class TestRunSweep:
         assert report.outcomes[1].source == "run"
 
     def test_failure_isolation(self):
-        # density validation fires at sparsifier build time, inside the cell
+        # the attack's own constructor refuses the scale, inside the cell
         good = tiny_spec()
-        bad = tiny_spec(compression={"sparsifier": "deft", "density": 7.0})
+        bad = tiny_spec(robustness={"attack": "sign_flip", "attack_kwargs": {"scale": -1.0}})
         report = run_sweep([bad, good])
         assert report.counts() == {"run": 1, "cache": 0, "error": 1}
         assert report.outcomes[0].error is not None
-        assert "density" in report.outcomes[0].error
+        assert "scale must be positive" in report.outcomes[0].error
         assert report.outcomes[1].ok
 
     def test_progress_callback_sees_every_cell(self, tmp_path):
@@ -364,7 +370,7 @@ class TestParallelDispatch:
             assert p.result.to_dict() == s.result.to_dict()
 
     def test_parallel_failure_isolation(self):
-        bad = tiny_spec(compression={"sparsifier": "deft", "density": 7.0})
+        bad = tiny_spec(robustness={"attack": "sign_flip", "attack_kwargs": {"scale": -1.0}})
         good = tiny_spec()
         report = run_sweep([bad, good], jobs=2)
         assert report.outcomes[0].error is not None
