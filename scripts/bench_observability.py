@@ -1,23 +1,19 @@
-"""Guard benchmark of the observability layer: overhead and bit-identity.
+"""Guard benchmark of the observability layer: bit-identity and overhead.
 
-Runs one identical training spec three ways --
+Runs one identical training spec two ways --
 
-- **baseline**: the spec with no observability section at all,
-- **disabled**: an explicit all-false :class:`ObservabilitySpec` (the
-  default every run carries since the section was added),
+- **disabled**: tracing and metrics off (the default every run carries),
 - **enabled**: span tracing and metrics both on --
 
-and asserts the two guarantees the instrumentation makes:
-
-1. the *disabled* configuration costs < 3% host wall-clock over baseline
-   (median of interleaved repeats on both sides, to cut scheduler
-   noise), and
-2. training results are **bit-identical** across all three: same final
-   metrics, same per-iteration loss series, same virtual-clock makespan.
-
-It also checks the trace reconciles: for the lock-step schedule the
-per-phase simulated-time totals (max per round, summed) satisfy
+and asserts the guarantee the instrumentation makes: training results are
+**bit-identical** across both (same final metrics, same per-iteration loss
+series, same virtual-clock makespan).  It also checks the trace
+reconciles: for the lock-step schedule the per-phase simulated-time totals
+(max per round, summed) satisfy
 ``compute + collective + push_pull == estimated_wallclock``.
+
+The enabled configuration's host wall-clock overhead over the disabled one
+(median of interleaved repeats on both sides) is reported, not gated.
 
 Emits ``BENCH_observability.json`` and a sample Chrome trace
 (``--trace-out``, default ``sample_trace.json``) so CI archives an
@@ -38,10 +34,6 @@ import time
 
 from repro.api import ObservabilitySpec, RunSpec, Session
 from repro.api.spec import ClusterSpec, ExecutionSpec, OptimizerSpec
-
-#: Hard ceiling on the disabled-path overhead (fraction of baseline).
-MAX_DISABLED_OVERHEAD = 0.03
-
 
 def build_spec(args, observability: ObservabilitySpec) -> RunSpec:
     return RunSpec(
@@ -75,7 +67,7 @@ def time_variants(session: Session, variants: dict, repeats: int):
     """Median-of-``repeats`` host seconds per variant, plus one result each.
 
     Two defences against host timing noise, which on a busy box easily
-    exceeds the 3% effect being guarded:
+    exceeds the few-percent effect being measured:
 
     - repeats are *interleaved* across the variants (with the order
       rotated every round) rather than run back-to-back, so a slow
@@ -122,35 +114,26 @@ def main(argv=None) -> int:
 
     session = Session()
     variants = {
-        "baseline": build_spec(args, ObservabilitySpec()),
-        "disabled": build_spec(args, ObservabilitySpec(trace=False, metrics=False)),
+        "disabled": build_spec(args, ObservabilitySpec()),
         "enabled": build_spec(args, ObservabilitySpec(trace=True, metrics=True)),
     }
     # Warm the dataset cache and every lazily-imported module so the first
     # timed variant is not charged for one-time setup.
-    session.run(variants["baseline"])
+    session.run(variants["disabled"])
 
     seconds, results = time_variants(session, variants, args.repeats)
     for name in variants:
         print(f"  {name:<9} {seconds[name]:7.3f}s  (median of {args.repeats})")
+    overhead = seconds["enabled"] / seconds["disabled"] - 1.0
+    print(f"enabled overhead: {overhead * 100:+.2f}% (reported, not gated)")
 
-    # Guard 1: the disabled hot path must cost < 3% over baseline.
-    overhead = seconds["disabled"] / seconds["baseline"] - 1.0
-    print(f"disabled overhead: {overhead * 100:+.2f}% "
-          f"(limit {MAX_DISABLED_OVERHEAD * 100:.0f}%)")
-    if overhead >= MAX_DISABLED_OVERHEAD:
-        raise SystemExit(
-            f"disabled-observability overhead {overhead * 100:.2f}% exceeds "
-            f"the {MAX_DISABLED_OVERHEAD * 100:.0f}% guard"
-        )
-
-    # Guard 2: recording must never perturb training.
+    # Guard 1: recording must never perturb training.
     prints = {name: fingerprint(result) for name, result in results.items()}
-    if not (prints["baseline"] == prints["disabled"] == prints["enabled"]):
+    if prints["disabled"] != prints["enabled"]:
         raise SystemExit("training results are NOT bit-identical across variants")
-    print("bit-identity: baseline == disabled == enabled")
+    print("bit-identity: disabled == enabled")
 
-    # Guard 3: the trace reconciles with the virtual clock.
+    # Guard 2: the trace reconciles with the virtual clock.
     trace = results["enabled"].observability["trace"]
     totals = trace["otherData"]["simulated_phase_totals"]
     on_clock = totals["compute"] + totals["collective"] + totals["push_pull"]
@@ -171,12 +154,10 @@ def main(argv=None) -> int:
         "workload": args.workload,
         "workers": args.workers,
         "execution": args.execution,
-        "iterations": results["baseline"].iterations_run,
+        "iterations": results["disabled"].iterations_run,
         "repeats": args.repeats,
         "seconds": seconds,
-        "disabled_overhead_fraction": overhead,
-        "overhead_limit": MAX_DISABLED_OVERHEAD,
-        "enabled_overhead_fraction": seconds["enabled"] / seconds["baseline"] - 1.0,
+        "enabled_overhead_fraction": overhead,
         "bit_identical": True,
         "trace_spans": trace["otherData"]["n_spans"],
         "simulated_phase_totals": totals,
@@ -197,9 +178,8 @@ def main(argv=None) -> int:
             "source": "bench",
             "run_name": "bench_observability",
             "metrics": {
-                "disabled_overhead_fraction": overhead,
-                "enabled_overhead_fraction": payload["enabled_overhead_fraction"],
-                "baseline_seconds": seconds["baseline"],
+                "enabled_overhead_fraction": overhead,
+                "disabled_seconds": seconds["disabled"],
                 "estimated_wallclock": wallclock,
                 "trace_spans": float(trace["otherData"]["n_spans"]),
             },

@@ -14,8 +14,8 @@ Three collaborators, combined per run by :class:`Observability`:
 
 Everything is off by default (``ObservabilitySpec()``), deterministic in
 simulated time, and guaranteed non-perturbing: training results are
-bit-identical with observability on or off, and the disabled hot-path
-overhead is guarded below 3% by ``scripts/bench_observability.py``.
+bit-identical with observability on or off, as
+``scripts/bench_observability.py`` asserts.
 
 On top of the per-run layer sits the durable half:
 

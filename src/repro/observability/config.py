@@ -2,10 +2,10 @@
 
 Everything is **off by default**: a spec without an observability section
 (or with every flag false) builds no-op tracer/metrics objects, so the
-instrumented hot paths cost nothing measurable (guarded by
-``scripts/bench_observability.py``, which asserts < 3% disabled overhead)
-and training results are bit-identical with observability on or off --
-the tracer, the metrics registry and the event bus only *read* run state.
+instrumented hot paths test one cached boolean and record nothing, and
+training results are bit-identical with observability on or off (asserted
+by ``scripts/bench_observability.py``) -- the tracer, the metrics registry
+and the event bus only *read* run state.
 
 The section travels inside :class:`~repro.api.RunSpec` (``observability``),
 declaring its ``repro train`` flags as field metadata like every other run
