@@ -11,8 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.cost import worker_selection_cost
+from repro.comm import SimulatedBackend
 from repro.sparsifiers import DEFTSparsifier, GradientLayout
-from repro.sparsifiers.deft.allocation import AllocationPolicy
+from repro.sparsifiers.deft.allocation import AllocationPolicy, allocate_layers, layer_costs
+from repro.sparsifiers.deft.k_assignment import assign_local_k, layer_norms
 
 
 @st.composite
@@ -152,3 +154,53 @@ def test_deft_makespan_obeys_list_scheduling_bound(problem):
     makespan = max(per_worker) if per_worker else 0.0
     bound = sum(all_costs) / n_workers + (max(all_costs) if all_costs else 0.0)
     assert makespan <= bound + 1e-6
+
+
+def _reference_round(sparsifier, accs, root):
+    """Algorithms 3 and 4 straight from their parts: the allocation built from
+    the root's norms (their median over workers under ``robust_norms``), and
+    the ``ks`` each rank selects with."""
+    parts, k = sparsifier.partitions, sparsifier.global_k
+    rows = [layer_norms(acc, parts) for acc in accs]
+    if sparsifier.robust_norms:
+        rows = [np.median(rows, axis=0)] * len(accs)
+    rank_ks = [assign_local_k(parts, norms, k) for norms in rows]
+    costs = layer_costs(parts, rank_ks[root])
+    allocation = allocate_layers(costs, len(accs), sizes=[p.size for p in parts]).assignment
+    return allocation, rank_ks
+
+
+@given(
+    problem=deft_problem(),
+    iteration=st.integers(0, 20),
+    integer_valued=st.booleans(),
+    robust_norms=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_deft_round_matches_reference(problem, iteration, integer_valued, robust_norms):
+    """One coordinated round against the reference: the allocation is the
+    root's, each rank picks exactly its own ``ks[x]`` entries and only in the
+    partitions it owns, and nothing it left out there is larger in magnitude
+    than its smallest pick (tie-safe: integer-valued accumulators tie a lot)."""
+    layout, accs, density, n_workers = problem
+    if integer_valued:
+        accs = [np.round(acc) for acc in accs]
+    sparsifier = DEFTSparsifier(density, robust_norms=robust_norms)
+    sparsifier.setup(layout, n_workers)
+    sparsifier.coordinate(iteration, accs, SimulatedBackend(n_workers))
+    picks = [sparsifier.select(iteration, rank, accs[rank]).indices for rank in range(n_workers)]
+    allocation, rank_ks = _reference_round(sparsifier, accs, iteration % n_workers)
+    owned = [sparsifier.allocation_for(iteration, rank, accs[rank]) for rank in range(n_workers)]
+    assert owned == allocation
+    for rank, indices in enumerate(picks):
+        inside = 0
+        for x in owned[rank]:
+            part = sparsifier.partitions[x]
+            chosen = indices[(indices >= part.start) & (indices < part.end)] - part.start
+            inside += chosen.size
+            assert chosen.size == rank_ks[rank][x]
+            if chosen.size:
+                magnitude = np.abs(accs[rank][part.start : part.end])
+                left_out = np.delete(magnitude, chosen)
+                assert not left_out.size or left_out.max() <= magnitude[chosen].min()
+        assert inside == indices.size
