@@ -22,8 +22,8 @@ POLICIES = (AllocationPolicy.BIN_PACKING, AllocationPolicy.SIZE_ONLY, Allocation
 def _imbalance(policy, layout, flat, density, n_workers):
     sparsifier = DEFTSparsifier(density, allocation_policy=policy)
     sparsifier.setup(layout, n_workers)
-    allocation = sparsifier.compute_allocation(flat)
-    ks = sparsifier._assign_k(flat)
+    plan = sparsifier.coordinate(0, [flat] * n_workers)
+    allocation, ks = plan.allocation, plan.ks
     costs = [
         worker_selection_cost(
             [sparsifier.partitions[i].size for i in layers], [int(ks[i]) for i in layers]

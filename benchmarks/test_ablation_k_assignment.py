@@ -27,6 +27,7 @@ def test_ablation_norm_vs_uniform_k_single_shot(benchmark):
     def capture(norm_proportional):
         sparsifier = DEFTSparsifier(density, norm_proportional_k=norm_proportional)
         sparsifier.setup(layout, 1)
+        sparsifier.coordinate(0, [flat])
         result = sparsifier.select(0, 0, flat)
         return float(np.abs(flat[result.indices]).sum()), result.k_selected
 

@@ -16,8 +16,8 @@ from repro.sparsifiers.deft import DEFTSparsifier
 def _max_worker_cost(two_stage, layout, flat, density, n_workers):
     sparsifier = DEFTSparsifier(density, two_stage=two_stage)
     sparsifier.setup(layout, n_workers)
-    allocation = sparsifier.compute_allocation(flat)
-    ks = sparsifier._assign_k(flat)
+    plan = sparsifier.coordinate(0, [flat] * n_workers)
+    allocation, ks = plan.allocation, plan.ks
     costs = [
         worker_selection_cost(
             [sparsifier.partitions[i].size for i in layers], [int(ks[i]) for i in layers]

@@ -53,8 +53,8 @@ def main() -> None:
     for n_workers in (1, 2, 4, 8, 16, 32):
         deft = DEFTSparsifier(density)
         deft.setup(layout, n_workers)
-        allocation = deft.compute_allocation(flat)
-        ks = deft._assign_k(flat)
+        plan = deft.coordinate(0, [flat] * n_workers)
+        allocation, ks = plan.allocation, plan.ks
         worker_costs = [
             worker_selection_cost(
                 [deft.partitions[i].size for i in layers], [int(ks[i]) for i in layers]

@@ -82,12 +82,11 @@ def deft_speedup_from_costs(n_gradients: int, k: int, per_worker_costs: Sequence
 
 def _analytic_worker_costs(sparsifier: DEFTSparsifier, acc_flat: np.ndarray) -> List[float]:
     """Per-worker Eq.-4 costs implied by a DEFT allocation of ``acc_flat``."""
-    allocation = sparsifier.compute_allocation(acc_flat)
-    ks = sparsifier._assign_k(acc_flat)
+    plan = sparsifier.coordinate(0, [acc_flat] * sparsifier.n_workers)
     costs = []
-    for layers in allocation:
+    for layers in plan.allocation:
         sizes = [sparsifier.partitions[i].size for i in layers]
-        layer_ks = [int(ks[i]) for i in layers]
+        layer_ks = [int(plan.ks[i]) for i in layers]
         costs.append(worker_selection_cost(sizes, layer_ks))
     return costs
 
@@ -163,9 +162,8 @@ def measure_selection_speedup(
             if n_workers == 1:
                 curves["deft_measured"].append(1, 1.0)
                 continue
-            # Every rank selects from the same snapshot.  The warm-up call
-            # also spends the norm vector coordinate keeps for the delegate,
-            # so every timed call pays its own norm pass.
+            # Every rank selects from the same snapshot.  Every rank but the
+            # delegate pays its own norm pass; the delegate reads the plan.
             sparsifier.coordinate(0, [flat] * n_workers)
             slowest = max(
                 _best_of(lambda rank=rank: sparsifier.select(0, rank, flat), repeats)

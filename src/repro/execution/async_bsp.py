@@ -176,11 +176,10 @@ class AsyncBSPExecution(ExecutionModel):
                 acc = trainer.adversary.corrupt_accumulator(trainer.iteration, r, acc)
             accumulators.append(acc)
 
-        # Sparsifiers with a coordinated robust statistic (DEFT
-        # --robust-norms) get the arrived accumulators as the group view;
-        # there is no collective phase in this schedule to do it for them.
-        if hasattr(trainer.sparsifier, "share_robust_norms"):
-            trainer.sparsifier.share_robust_norms(trainer.iteration, accumulators)
+        # The round plan over the arrived accumulators (the group view the
+        # server sees), rooted at the first arrival.  No collective runs in
+        # this schedule, so no backend is passed.
+        trainer.sparsifier.coordinate(trainer.iteration, accumulators, root=arrived[0], ranks=arrived)
         for pos, r in enumerate(arrived):
             result = trainer.sparsifier.select(trainer.iteration, r, accumulators[pos])
             per_worker_indices.append(np.asarray(result.indices, dtype=np.int64))

@@ -104,11 +104,10 @@ class GossipExecution(ExecutionModel):
         if trainer.adversary.n_byzantine:
             accumulators = trainer.adversary.corrupt_accumulators(trainer.iteration, accumulators)
 
-        # 3-4. Per-worker selection (no collective coordinate phase exists
-        # here; coordinated robust statistics use the same group-view hook
-        # as the async schedule).
-        if hasattr(trainer.sparsifier, "share_robust_norms"):
-            trainer.sparsifier.share_robust_norms(trainer.iteration, accumulators)
+        # 3-4. The round plan, then per-worker selection.  There is no
+        # collective here (no backend, no traffic), and rank 0 is the plan's
+        # root every round.
+        trainer.sparsifier.coordinate(trainer.iteration, accumulators, root=0)
         selections: List[np.ndarray] = []
         selection_seconds = 0.0
         for rank in range(n_workers):

@@ -6,16 +6,23 @@ to the set of indices that worker will contribute to the sparse all-gather.
 
 Two extension points cover every method in the paper:
 
-``select(iteration, rank, acc_flat)``
-    The worker-local selection.  Called once per worker per iteration.
+``coordinate(iteration, acc_per_worker, backend, root=None, ranks=None)``
+    The round's collective phase, run once per round by every schedule
+    before any selection.  It builds a frozen :class:`RoundPlan` from the
+    ``root`` rank's view (default: ranks take turns, ``iteration %
+    n_workers``), installs it as ``self.plan`` and returns it.  CLT-k's
+    plan holds the leader's indices, gTop-k's the merged global set, DEFT's
+    the delegate's bin-packing allocation and ``ks``; the other sparsifiers
+    get an empty plan.  ``ranks`` names the rank of each accumulator when
+    only part of the group is present.  Shared data is routed through
+    ``backend`` so the traffic meter sees the (small) coordination overhead
+    the paper accounts for in Figure 7; schedules without collectives pass
+    none.
 
-``coordinate(iteration, acc_per_worker, backend)``
-    An optional collective phase executed *before* the per-worker selection.
-    CLT-k uses it to let the cyclic leader broadcast its indices; DEFT uses
-    it to let the delegated worker broadcast the bin-packing allocation.
-    Implementations must route any shared data through ``backend`` so the
-    traffic meter sees the (small) coordination overhead the paper accounts
-    for in Figure 7.
+``select(iteration, rank, acc_flat)``
+    The worker-local selection.  Called once per worker per iteration; it
+    only reads the plan, and raises if ``coordinate`` did not run for
+    ``iteration`` when it needs one.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ import numpy as np
 from repro.comm.backend import CollectiveBackend
 from repro.utils.flatten import FlatSpec
 
-__all__ = ["GradientLayout", "SelectionResult", "Sparsifier"]
+__all__ = ["GradientLayout", "RoundPlan", "SelectionResult", "Sparsifier"]
 
 
 @dataclass(frozen=True)
@@ -99,6 +106,25 @@ class SelectionResult:
         return int(self.indices.shape[0])
 
 
+@dataclass(frozen=True)
+class RoundPlan:
+    """One round's coordination, built by ``coordinate`` from ``root``'s view."""
+
+    iteration: int
+    #: Rank whose accumulator the plan was built from.
+    root: int
+    #: DEFT: the partitions each rank owns (Algorithm 4).
+    allocation: Optional[List[List[int]]] = None
+    #: DEFT: the root's local ``k`` per partition (Algorithm 3).
+    ks: Optional[np.ndarray] = None
+    #: DEFT: every rank selects with ``ks`` (robust norms, uniform-k ablation).
+    shared_ks: bool = False
+    #: CLT-k and gTop-k: the index set every rank sends.
+    indices: Optional[np.ndarray] = None
+    #: Host seconds the root spent building the plan.
+    seconds: float = 0.0
+
+
 class Sparsifier:
     """Base class of all gradient sparsifiers."""
 
@@ -119,6 +145,7 @@ class Sparsifier:
         self.layout: Optional[GradientLayout] = None
         self.n_workers: int = 1
         self.seed: int = 0
+        self.plan: Optional[RoundPlan] = None
         self._configured = False
 
     # ------------------------------------------------------------------ #
@@ -129,6 +156,7 @@ class Sparsifier:
         self.layout = layout
         self.n_workers = int(n_workers)
         self.seed = int(seed)
+        self.plan = None
         self._configured = True
         self._post_setup()
 
@@ -147,13 +175,39 @@ class Sparsifier:
         layout = self._require_setup()
         return max(1, int(round(self.density * layout.total_size)))
 
+    def root_of(self, iteration: int) -> int:
+        """Default plan root of ``iteration``: ranks take turns."""
+        return int(iteration) % self.n_workers
+
+    def _root_view(
+        self, iteration: int, acc_per_worker: Sequence[np.ndarray], root, ranks
+    ) -> Tuple[int, np.ndarray]:
+        """The plan's root rank and its flat accumulator."""
+        root = self.root_of(iteration) if root is None else int(root)
+        position = root if ranks is None else list(ranks).index(root)
+        return root, np.asarray(acc_per_worker[position]).reshape(-1)
+
     def coordinate(
         self,
         iteration: int,
         acc_per_worker: Sequence[np.ndarray],
         backend: Optional[CollectiveBackend] = None,
-    ) -> None:
-        """Optional pre-selection collective phase (default: nothing)."""
+        root: Optional[int] = None,
+        ranks: Optional[Sequence[int]] = None,
+    ) -> RoundPlan:
+        """Build, install and return the round's plan (default: empty)."""
+        self._require_setup()
+        root, _ = self._root_view(iteration, acc_per_worker, root, ranks)
+        self.plan = RoundPlan(int(iteration), root)
+        return self.plan
+
+    def _plan_for(self, iteration: int) -> RoundPlan:
+        """The installed plan of ``iteration``."""
+        if self.plan is None or self.plan.iteration != int(iteration):
+            raise RuntimeError(
+                f"{type(self).__name__}.select() needs coordinate() to run for iteration {iteration} first"
+            )
+        return self.plan
 
     def select(self, iteration: int, rank: int, acc_flat: np.ndarray) -> SelectionResult:
         """Return the indices this worker contributes in this iteration."""

@@ -6,7 +6,7 @@ on its own accumulator and broadcast the chosen indices.  All workers then
 contribute values at exactly those indices, so the collected index set never
 grows with the worker count.  The costs are (a) the leader's full
 ``n_g log k`` selection cannot be parallelised and (b) the other workers idle
-while the leader selects.
+while the leader selects.  The leader is the round plan's root.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.comm.backend import CollectiveBackend
-from repro.sparsifiers.base import SelectionResult, Sparsifier
+from repro.sparsifiers.base import RoundPlan, SelectionResult, Sparsifier
 from repro.utils.topk_ops import topk_indices
 
 __all__ = ["CLTKSparsifier"]
@@ -32,62 +32,43 @@ class CLTKSparsifier(Sparsifier):
     needs_hyperparameter_tuning = False
     has_worker_idling = True
 
-    def __init__(self, density: float) -> None:
-        super().__init__(density)
-        self._iteration_cache: Optional[int] = None
-        self._leader_indices: Optional[np.ndarray] = None
-        self._leader_seconds: float = 0.0
-
-    def leader_of(self, iteration: int) -> int:
-        """Rank acting as the selection leader in ``iteration``."""
-        return int(iteration) % self.n_workers
+    #: Rank acting as the selection leader in an iteration (cyclic).
+    leader_of = Sparsifier.root_of
 
     def coordinate(
         self,
         iteration: int,
         acc_per_worker: Sequence[np.ndarray],
         backend: Optional[CollectiveBackend] = None,
-    ) -> None:
+        root: Optional[int] = None,
+        ranks: Optional[Sequence[int]] = None,
+    ) -> RoundPlan:
         """Leader runs Top-k on its accumulator and broadcasts the indices."""
         self._require_setup()
-        leader = self.leader_of(iteration)
-        k = self.global_k
+        leader, acc = self._root_view(iteration, acc_per_worker, root, ranks)
         start = time.perf_counter()
         # Every worker contributes at the broadcast index *set*; ordering is
         # irrelevant (the trainer sorts the union with union_indices), so
         # skip the sort.
-        indices = topk_indices(
-            np.asarray(acc_per_worker[leader]).reshape(-1), k, sort=False
-        )
-        self._leader_seconds = time.perf_counter() - start
+        indices = topk_indices(acc, self.global_k, sort=False)
+        seconds = time.perf_counter() - start
         if backend is not None:
-            received = backend.broadcast(indices, root=leader, tag="cltk-indices")
-            indices = received[0]
-        self._iteration_cache = int(iteration)
-        self._leader_indices = np.asarray(indices, dtype=np.int64)
+            indices = backend.broadcast(indices, root=leader, tag="cltk-indices")[0]
+        self.plan = RoundPlan(
+            int(iteration), leader, indices=np.asarray(indices, dtype=np.int64), seconds=seconds
+        )
+        return self.plan
 
     def select(self, iteration: int, rank: int, acc_flat: np.ndarray) -> SelectionResult:
         layout = self._require_setup()
-        if self._iteration_cache != int(iteration) or self._leader_indices is None:
-            # Standalone use without the trainer: fall back to selecting from
-            # the caller's own accumulator when it happens to be the leader,
-            # otherwise the caller must run coordinate() first.
-            if rank == self.leader_of(iteration):
-                self.coordinate(iteration, [acc_flat] * self.n_workers, backend=None)
-            else:
-                raise RuntimeError(
-                    "CLT-k requires coordinate() to run before select() for non-leader ranks"
-                )
-        leader = self.leader_of(iteration)
+        plan = self._plan_for(iteration)
         k = self.global_k
         # Only the leader pays the selection cost; the others idle (Table 1).
-        is_leader = rank == leader
-        analytic = layout.total_size * math.log2(max(k, 2)) if is_leader else 0.0
-        seconds = self._leader_seconds if is_leader else 0.0
+        is_leader = rank == plan.root
         return SelectionResult(
-            indices=self._leader_indices.copy(),
+            indices=plan.indices.copy(),
             target_k=k,
-            selection_seconds=seconds,
-            analytic_cost=analytic,
-            info={"leader": leader, "is_leader": is_leader},
+            selection_seconds=plan.seconds if is_leader else 0.0,
+            analytic_cost=layout.total_size * math.log2(max(k, 2)) if is_leader else 0.0,
+            info={"leader": plan.root, "is_leader": is_leader},
         )

@@ -4,15 +4,19 @@ Per iteration the flow is:
 
 1. (setup time) the gradient vector is partitioned once with Algorithm 2 --
    partition boundaries depend only on layer sizes, not on gradient values;
-2. the *delegated* worker of the iteration (``iteration % n_workers``, cyclic
-   as in Algorithm 4) computes its per-partition gradient norms, assigns
+2. ``coordinate``: the *delegated* worker of the iteration (the round plan's
+   root; ``iteration % n_workers``, cyclic as in Algorithm 4, unless the
+   schedule names one) computes its per-partition gradient norms, assigns
    local ``k`` with Algorithm 3, prices every partition with the
    ``n_{g,x} log k_x`` cost model, bin-packs partitions onto workers and
    broadcasts the allocation (a payload of one integer per partition, the
-   ``4L`` bytes the paper calls negligible);
-3. every worker assigns its own local ``k`` from its own accumulator norms
-   (Algorithm 3 again, locally) and runs Top-k only inside the partitions it
-   was allocated (Algorithm 5).
+   ``4L`` bytes the paper calls negligible).  The allocation and the
+   delegate's ``ks`` are the round's :class:`RoundPlan`;
+3. ``select``: every other worker assigns its own local ``k`` from its own
+   accumulator norms (Algorithm 3 again, locally; the delegate reads the
+   plan's ``ks``) and runs Top-k only inside the partitions the plan
+   allocated it (Algorithm 5).  Under ``robust_norms`` and the uniform-k
+   ablation every worker reads the plan's ``ks``.
 
 Workers therefore select disjoint index sets whose union has ~``k`` entries:
 no gradient build-up, and the selection cost per worker shrinks as the
@@ -22,12 +26,12 @@ cluster grows (Eq. 5-9).
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.comm.backend import CollectiveBackend
-from repro.sparsifiers.base import SelectionResult, Sparsifier
+from repro.sparsifiers.base import RoundPlan, SelectionResult, Sparsifier
 from repro.sparsifiers.deft.allocation import (
     AllocationPolicy,
     allocate_layers,
@@ -37,7 +41,6 @@ from repro.sparsifiers.deft.k_assignment import (
     assign_local_k,
     layer_norms,
     norm_statistic,
-    robust_layer_norms,
 )
 from repro.sparsifiers.deft.partitioning import LayerPartition, two_stage_partition
 from repro.sparsifiers.deft.selection import layerwise_select
@@ -88,13 +91,6 @@ class DEFTSparsifier(Sparsifier):
         self.two_stage = bool(two_stage)
         self.robust_norms = bool(robust_norms)
         self.partitions: List[LayerPartition] = []
-        self._allocation_iteration: Optional[int] = None
-        self._allocation: Optional[List[List[int]]] = None
-        self._coordinate_seconds: float = 0.0
-        self._shared_norms: Optional[np.ndarray] = None
-        self._shared_norms_iteration: Optional[int] = None
-        self._own_norms_key: Optional[Tuple[int, int, int]] = None
-        self._own_norms_value: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------ #
     def _post_setup(self) -> None:
@@ -104,142 +100,85 @@ class DEFTSparsifier(Sparsifier):
         else:
             # Stage one only: one partition per model layer.
             self.partitions = two_stage_partition(layout, 1)
-        self._allocation_iteration = None
-        self._allocation = None
-        self._own_norms_key = None
 
     # ------------------------------------------------------------------ #
-    def delegate_of(self, iteration: int) -> int:
-        """Rank that computes the allocation in ``iteration`` (cyclic)."""
-        return int(iteration) % self.n_workers
+    #: Rank that computes the allocation in an iteration (cyclic).
+    delegate_of = Sparsifier.root_of
 
-    def _own_norms(
-        self, acc_flat: np.ndarray, iteration: Optional[int], rank: Optional[int], keep: bool
-    ) -> np.ndarray:
-        """``rank``'s per-partition norms of its accumulator in ``iteration``.
-
-        One O(n_g) pass per rank and iteration: the vector computed for an
-        allocation (the delegate's in ``coordinate``, a standalone rank's in
-        ``allocation_for``) is kept, and that rank's ``select`` reads it
-        instead of recomputing it.  A kept vector is read at most once, and
-        only for the same rank, iteration and buffer address: ranks may
-        share one accumulator buffer.
-        """
-        key = None
-        if rank is not None and iteration is not None:
-            key = (int(iteration), int(rank), np.asarray(acc_flat).__array_interface__["data"][0])
-            if key == self._own_norms_key:
-                self._own_norms_key = None
-                return self._own_norms_value
-        norms = layer_norms(acc_flat, self.partitions)
-        if keep and key is not None:
-            self._own_norms_key, self._own_norms_value = key, norms
-        return norms
-
-    def _assign_k(
-        self,
-        acc_flat: np.ndarray,
-        iteration: Optional[int] = None,
-        rank: Optional[int] = None,
-        keep: bool = False,
-    ) -> np.ndarray:
-        """Run Algorithm 3 (or its uniform ablation) on ``rank``'s accumulator."""
-        k_total = self.global_k
-        if (
-            self.robust_norms
-            and iteration is not None
-            and self._shared_norms is not None
-            and self._shared_norms_iteration == int(iteration)
-        ):
-            # Coordinated path: every worker assigns from the same
-            # attack-resistant median norms.
-            norms = self._shared_norms
-        elif self.norm_proportional_k:
-            norms = self._own_norms(acc_flat, iteration, rank, keep)
-        else:
+    def _assign_k(self, acc_flat: Optional[np.ndarray] = None, norms=None) -> np.ndarray:
+        """Run Algorithm 3 on ``norms`` (default: ``acc_flat``'s), or its uniform ablation."""
+        if not self.norm_proportional_k:
             # Uniform ablation: weight every partition by its size instead.
-            norms = np.array([float(p.size) for p in self.partitions], dtype=np.float64)
-        return assign_local_k(self.partitions, norms, k_total)
+            norms = [float(p.size) for p in self.partitions]
+        elif norms is None:
+            norms = layer_norms(acc_flat, self.partitions)
+        return assign_local_k(self.partitions, norms, self.global_k)
 
-    def compute_allocation(
-        self, acc_flat: np.ndarray, iteration: Optional[int] = None, rank: Optional[int] = None
-    ) -> List[List[int]]:
-        """Compute the layer-to-worker allocation from ``rank``'s view."""
-        ks = self._assign_k(acc_flat, iteration, rank, keep=True)
+    def _allocate(self, ks: np.ndarray) -> List[List[int]]:
+        """Algorithm 4: bin-pack the partitions, priced by Eq. 4 under ``ks``."""
         costs = layer_costs(self.partitions, ks)
         sizes = [p.size for p in self.partitions]
-        result = allocate_layers(costs, self.n_workers, policy=self.allocation_policy, sizes=sizes)
-        return result.assignment
+        return allocate_layers(costs, self.n_workers, policy=self.allocation_policy, sizes=sizes).assignment
 
-    def share_robust_norms(self, iteration: int, accumulators: Sequence[np.ndarray]) -> None:
-        """Install the median-of-norms statistic for ``iteration``.
-
-        Entry point for schedules without a collective coordinate phase
-        (the async parameter-server loop): the server sees the pushed
-        accumulators and computes the shared statistic from whatever subset
-        is present, so ``robust_norms`` keeps protecting the k assignment
-        even though no all-gather runs.
-        """
-        self._require_setup()
-        if not (self.robust_norms and self.norm_proportional_k):
-            return
-        self._shared_norms = robust_layer_norms(accumulators, self.partitions)
-        self._shared_norms_iteration = int(iteration)
+    def compute_allocation(self, acc_flat: np.ndarray) -> List[List[int]]:
+        """The layer-to-worker allocation built from one accumulator's norms."""
+        return self._allocate(self._assign_k(acc_flat))
 
     def coordinate(
         self,
         iteration: int,
         acc_per_worker: Sequence[np.ndarray],
         backend: Optional[CollectiveBackend] = None,
-    ) -> None:
-        """Delegated worker computes and broadcasts the allocation."""
+        root: Optional[int] = None,
+        ranks: Optional[Sequence[int]] = None,
+    ) -> RoundPlan:
+        """Delegated worker computes the plan and broadcasts the allocation."""
         self._require_setup()
-        delegate = self.delegate_of(iteration)
+        delegate, acc = self._root_view(iteration, acc_per_worker, root, ranks)
         start = time.perf_counter()
         if self.robust_norms and self.norm_proportional_k:
+            # Algorithm 3 trusts whatever norms it is handed, so a Byzantine
+            # delegate inflating one layer could grab the whole budget.
             # All-gather every worker's per-layer norms (L floats each, the
             # same order of magnitude as the allocation broadcast) and take
-            # the per-layer median: the statistic Algorithm 3 and the
-            # bin packing run on can no longer be moved by a minority of
-            # norm-inflating workers.
-            rows = [layer_norms(acc, self.partitions) for acc in acc_per_worker]
+            # the per-layer median: its 50% breakdown point means a minority
+            # of norm-inflating workers cannot move the statistic that
+            # Algorithm 3 and the bin packing run on.
+            rows = [layer_norms(a, self.partitions) for a in acc_per_worker]
             if backend is not None:
                 # The all-gather exists for the traffic meter; the lock-step
                 # simulation already sees every accumulator in memory.
                 backend.allgather(rows, tag="deft-norms")
-            self._shared_norms = norm_statistic(rows)
-            self._shared_norms_iteration = int(iteration)
-        allocation = self.compute_allocation(
-            np.asarray(acc_per_worker[delegate]).reshape(-1), iteration, delegate
-        )
+            ks = self._assign_k(norms=norm_statistic(rows))
+        else:
+            ks = self._assign_k(acc)
+        allocation = self._allocate(ks)
         if backend is not None:
             # Payload: one integer per partitioned layer (the paper's 4L bytes).
             flat_allocation = [np.asarray(items, dtype=np.int64) for items in allocation]
             received = backend.broadcast(flat_allocation, root=delegate, tag="deft-allocation")
             allocation = [list(map(int, items)) for items in received[0]]
-        self._coordinate_seconds = time.perf_counter() - start
-        self._allocation_iteration = int(iteration)
-        self._allocation = allocation
+        self.plan = RoundPlan(
+            int(iteration), delegate, allocation=allocation, ks=ks,
+            shared_ks=self.robust_norms or not self.norm_proportional_k,
+            seconds=time.perf_counter() - start,
+        )
+        return self.plan
 
     def allocation_for(self, iteration: int, rank: int, acc_flat: np.ndarray) -> List[int]:
-        """Partitions owned by ``rank`` in ``iteration`` (computing if needed)."""
-        if self._allocation_iteration != int(iteration) or self._allocation is None:
-            # Standalone mode (no trainer-driven coordinate): every worker
-            # derives the allocation from its own accumulator.  Workers share
-            # model state, so the allocations agree in practice; the
-            # trainer-driven path guarantees it.
-            self._allocation = self.compute_allocation(acc_flat, iteration, rank)
-            self._allocation_iteration = int(iteration)
-        return self._allocation[rank]
+        """Partitions the plan of ``iteration`` allocates to ``rank``."""
+        return self._plan_for(iteration).allocation[rank]
 
     # ------------------------------------------------------------------ #
     def select(self, iteration: int, rank: int, acc_flat: np.ndarray) -> SelectionResult:
         self._require_setup()
+        plan = self._plan_for(iteration)
         flat = np.asarray(acc_flat).reshape(-1)
 
         partition_start = time.perf_counter()
-        allocated = self.allocation_for(iteration, rank, flat)
-        ks = self._assign_k(flat, iteration, rank)
+        allocated = plan.allocation[rank]
+        # Algorithm 3 is deterministic: the delegate's own ks are the plan's.
+        ks = plan.ks if plan.shared_ks or rank == plan.root else self._assign_k(flat)
         partition_seconds = time.perf_counter() - partition_start
 
         select_start = time.perf_counter()
@@ -253,10 +192,10 @@ class DEFTSparsifier(Sparsifier):
             analytic_cost=analytic_cost,
             info={
                 "partition_seconds": partition_seconds,
-                "coordinate_seconds": self._coordinate_seconds if rank == self.delegate_of(iteration) else 0.0,
+                "coordinate_seconds": plan.seconds if rank == plan.root else 0.0,
                 "n_allocated_layers": len(allocated),
                 "n_partitions": len(self.partitions),
-                "delegate": self.delegate_of(iteration),
+                "delegate": plan.root,
                 "allocation_policy": self.allocation_policy.value,
             },
         )

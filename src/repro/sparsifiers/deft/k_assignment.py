@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.sparsifiers.deft.partitioning import LayerPartition
 
-__all__ = ["assign_local_k", "layer_norms", "norm_statistic", "robust_layer_norms"]
+__all__ = ["assign_local_k", "layer_norms", "norm_statistic"]
 
 
 def layer_norms(acc_flat: np.ndarray, partitions: Sequence[LayerPartition]) -> np.ndarray:
@@ -50,24 +50,6 @@ def norm_statistic(rows: Sequence[np.ndarray], statistic: str = "median") -> np.
     if statistic == "mean":
         return matrix.mean(axis=0)
     raise ValueError(f"unknown norm statistic {statistic!r}; use 'median' or 'mean'")
-
-
-def robust_layer_norms(
-    acc_per_worker: Sequence[np.ndarray],
-    partitions: Sequence[LayerPartition],
-    statistic: str = "median",
-) -> np.ndarray:
-    """Per-partition norm statistic over *all* workers' accumulators.
-
-    Algorithm 3 trusts whatever norms it is handed.  In the trainer-driven
-    path the delegated worker computes them from its own accumulator, so a
-    single Byzantine worker that inflates one layer's entries can -- when
-    it is the delegate -- grab the whole selection budget for that layer.
-    The median over workers has a 50% breakdown point: as long as a
-    majority of workers is honest, an inflated layer norm cannot move the
-    statistic, so the budget split stays attack-resistant.
-    """
-    return norm_statistic([layer_norms(acc, partitions) for acc in acc_per_worker], statistic)
 
 
 def assign_local_k(

@@ -10,8 +10,9 @@ candidate entries, and the same per-worker ``n_g log k`` selection cost DEFT
 parallelises away.
 
 Within this reproduction the merge is performed inside ``coordinate`` (the
-simulated collective phase); every worker then reports the same global index
-set, so the measured density stays at the configured value like CLT-k's, but
+simulated collective phase) over the accumulators the schedule passes, and
+its global index set is the round plan; every worker then reports that set,
+so the measured density stays at the configured value like CLT-k's, but
 unlike CLT-k no worker idles -- all of them run their local Top-k.
 """
 
@@ -24,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.comm.backend import CollectiveBackend
-from repro.sparsifiers.base import SelectionResult, Sparsifier
+from repro.sparsifiers.base import RoundPlan, SelectionResult, Sparsifier
 from repro.utils.topk_ops import topk_indices, union_indices
 
 __all__ = ["GlobalTopKSparsifier"]
@@ -38,19 +39,16 @@ class GlobalTopKSparsifier(Sparsifier):
     needs_hyperparameter_tuning = False
     has_worker_idling = False
 
-    def __init__(self, density: float) -> None:
-        super().__init__(density)
-        self._iteration_cache: Optional[int] = None
-        self._global_indices: Optional[np.ndarray] = None
-        self._local_seconds: float = 0.0
-
     def coordinate(
         self,
         iteration: int,
         acc_per_worker: Sequence[np.ndarray],
         backend: Optional[CollectiveBackend] = None,
-    ) -> None:
+        root: Optional[int] = None,
+        ranks: Optional[Sequence[int]] = None,
+    ) -> RoundPlan:
         self._require_setup()
+        root, _ = self._root_view(iteration, acc_per_worker, root, ranks)
         k = self.global_k
         start = time.perf_counter()
         # Candidates feed a union that union_indices sorts below: skip the sort.
@@ -58,7 +56,7 @@ class GlobalTopKSparsifier(Sparsifier):
             topk_indices(np.asarray(acc).reshape(-1), k, sort=False)
             for acc in acc_per_worker
         ]
-        self._local_seconds = (time.perf_counter() - start) / max(len(acc_per_worker), 1)
+        seconds = (time.perf_counter() - start) / max(len(acc_per_worker), 1)
 
         if backend is not None:
             gathered = backend.allgather(local_indices, tag="gtopk-candidates")
@@ -72,20 +70,19 @@ class GlobalTopKSparsifier(Sparsifier):
         for acc in acc_per_worker:
             summed += np.asarray(acc).reshape(-1)[candidate_pool]
         keep = topk_indices(summed, k, sort=False)
-        self._global_indices = np.sort(candidate_pool[keep])
-        self._iteration_cache = int(iteration)
+        self.plan = RoundPlan(
+            int(iteration), root, indices=np.sort(candidate_pool[keep]), seconds=seconds
+        )
+        return self.plan
 
     def select(self, iteration: int, rank: int, acc_flat: np.ndarray) -> SelectionResult:
         layout = self._require_setup()
-        if self._iteration_cache != int(iteration) or self._global_indices is None:
-            # Standalone fallback: behave like a single-worker group.
-            self.coordinate(iteration, [acc_flat])
+        plan = self._plan_for(iteration)
         k = self.global_k
-        analytic = layout.total_size * math.log2(max(k, 2))
         return SelectionResult(
-            indices=self._global_indices.copy(),
+            indices=plan.indices.copy(),
             target_k=k,
-            selection_seconds=self._local_seconds,
-            analytic_cost=analytic,
-            info={"merge": "global-topk", "candidates": int(self._global_indices.shape[0])},
+            selection_seconds=plan.seconds,
+            analytic_cost=layout.total_size * math.log2(max(k, 2)),
+            info={"merge": "global-topk", "candidates": int(plan.indices.shape[0])},
         )

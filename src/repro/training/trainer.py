@@ -13,8 +13,8 @@ Per iteration (paper's Algorithm 1):
 
 1. every worker computes its local gradient on its own batch,
 2. ``acc_i = e_i + lr * grad_i``,
-3. the sparsifier's optional ``coordinate`` phase runs (CLT-k leader
-   broadcast, DEFT allocation broadcast),
+3. the sparsifier's ``coordinate`` phase builds the round plan (CLT-k
+   leader broadcast, DEFT allocation broadcast),
 4. every worker selects indices from its own ``acc_i``,
 5. the index sets are all-gathered and their union formed,
 6. each worker contributes ``acc_i[union]``; the contributions are combined
@@ -321,7 +321,7 @@ class DistributedTrainer:
         # sets the pace), the collective is about to start.
         v_sync = self.clock.now + self.speed_model.slowest_batch_seconds()
 
-        # 3. Optional coordination (CLT-k leader selection, DEFT allocation).
+        # 3. The round plan (CLT-k leader selection, DEFT allocation).
         comm_records_before = len(self.backend.meter.records)
         encode_start = time.perf_counter()
         self.sparsifier.coordinate(self.iteration, accumulators, self.backend)

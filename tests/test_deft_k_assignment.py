@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sparsifiers.base import GradientLayout
-from repro.sparsifiers.deft.k_assignment import assign_local_k, layer_norms
+from repro.sparsifiers.deft.k_assignment import assign_local_k, layer_norms, norm_statistic
 from repro.sparsifiers.deft.partitioning import two_stage_partition
 
 
@@ -121,7 +121,7 @@ class TestAssignLocalK:
         sparsifier = DEFTSparsifier(0.2)
         sparsifier.setup(layout, 1)
         np.testing.assert_array_equal(layer_norms(flat, sparsifier.partitions), [15.0, 5.0])
-        assert sparsifier._assign_k(flat).tolist() == [30, 10]
+        assert sparsifier.coordinate(0, [flat]).ks.tolist() == [30, 10]
 
     def test_priority_order_is_by_norm(self):
         """The highest-norm layer is assigned first and therefore gets the
@@ -189,79 +189,72 @@ def test_monotone_in_norm_for_equal_sizes(sizes, seed):
 
 
 class TestRobustLayerNorms:
-    """Median-of-norms statistic for attack-resistant k assignment."""
+    """Median-of-norms statistic for attack-resistant k assignment: what
+    DEFT's ``coordinate`` computes under ``robust_norms``."""
 
     def _accs(self, partitions, n_workers=5, seed=0):
         total = sum(p.size for p in partitions)
         rng = np.random.default_rng(seed)
         return [rng.standard_normal(total) for _ in range(n_workers)]
 
-    def test_median_matches_numpy(self):
-        from repro.sparsifiers.deft.k_assignment import robust_layer_norms
+    @staticmethod
+    def _statistic(accs, partitions, statistic="median"):
+        return norm_statistic([layer_norms(a, partitions) for a in accs], statistic)
 
+    def test_median_matches_numpy(self):
         partitions = make_partitions([30, 50])
         accs = self._accs(partitions)
         matrix = np.stack([layer_norms(a, partitions) for a in accs])
         np.testing.assert_allclose(
-            robust_layer_norms(accs, partitions), np.median(matrix, axis=0)
+            self._statistic(accs, partitions), np.median(matrix, axis=0)
         )
         np.testing.assert_allclose(
-            robust_layer_norms(accs, partitions, statistic="mean"), matrix.mean(axis=0)
+            self._statistic(accs, partitions, statistic="mean"), matrix.mean(axis=0)
         )
 
     def test_single_inflator_cannot_move_median(self):
-        from repro.sparsifiers.deft.k_assignment import robust_layer_norms
-
         partitions = make_partitions([40, 40, 40])
         accs = self._accs(partitions)
-        benign_norms = robust_layer_norms(accs, partitions)
+        benign_norms = self._statistic(accs, partitions)
         # The last worker inflates layer 0 by six orders of magnitude.
         accs[-1] = accs[-1].copy()
         accs[-1][:40] *= 1e6
-        attacked_norms = robust_layer_norms(accs, partitions)
+        attacked_norms = self._statistic(accs, partitions)
         # One corrupted sample shifts the median by at most one order
         # statistic of the benign spread -- never toward the 1e6 inflation.
         np.testing.assert_allclose(attacked_norms[1:], benign_norms[1:])
         assert attacked_norms[0] < 2.0 * benign_norms[0]
 
     def test_mean_statistic_is_moved_for_contrast(self):
-        from repro.sparsifiers.deft.k_assignment import robust_layer_norms
-
         partitions = make_partitions([40, 40])
         accs = self._accs(partitions)
         accs[-1] = accs[-1].copy()
         accs[-1][:40] *= 1e6
-        inflated = robust_layer_norms(accs, partitions, statistic="mean")
-        benign = robust_layer_norms(accs[:-1], partitions, statistic="mean")
+        inflated = self._statistic(accs, partitions, statistic="mean")
+        benign = self._statistic(accs[:-1], partitions, statistic="mean")
         assert inflated[0] > 100 * benign[0]
 
     def test_budget_grab_blocked(self):
         """The attack the statistic exists for: k assignment from an
         inflated norm vector gives the inflated layer the whole budget,
         while the median assignment keeps the benign split."""
-        from repro.sparsifiers.deft.k_assignment import robust_layer_norms
-
         partitions = make_partitions([100, 100, 100])
         accs = self._accs(partitions)
         accs[-1] = accs[-1].copy()
         accs[-1][:100] *= 1e6
         k_total = 30
         grabbed = assign_local_k(partitions, layer_norms(accs[-1], partitions), k_total)
-        robust = assign_local_k(partitions, robust_layer_norms(accs, partitions), k_total)
+        robust = assign_local_k(partitions, self._statistic(accs, partitions), k_total)
         # Inflated view: layer 0 takes (almost) everything.
         assert grabbed[0] >= k_total - 2
         # Median view: the split stays balanced (no layer above ~half).
         assert robust[0] < k_total * 0.6
 
     def test_invalid_statistic_rejected(self):
-        from repro.sparsifiers.deft.k_assignment import robust_layer_norms
-
         partitions = make_partitions([10])
         with pytest.raises(ValueError):
-            robust_layer_norms(self._accs(partitions), partitions, statistic="mode")
+            self._statistic(self._accs(partitions), partitions, statistic="mode")
 
     def test_empty_input_rejected(self):
-        from repro.sparsifiers.deft.k_assignment import robust_layer_norms
-
         with pytest.raises(ValueError):
-            robust_layer_norms([], make_partitions([10]))
+            self._statistic([], make_partitions([10]))

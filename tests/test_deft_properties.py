@@ -138,8 +138,8 @@ def test_deft_makespan_obeys_list_scheduling_bound(problem):
     flat = accs[0]
     sparsifier = DEFTSparsifier(density, allocation_policy=AllocationPolicy.BIN_PACKING)
     sparsifier.setup(layout, n_workers)
-    allocation = sparsifier.compute_allocation(flat)
-    ks = sparsifier._assign_k(flat)
+    plan = sparsifier.coordinate(0, [flat] * n_workers)
+    allocation, ks = plan.allocation, plan.ks
 
     def partition_cost(i):
         return worker_selection_cost([sparsifier.partitions[i].size], [int(ks[i])])

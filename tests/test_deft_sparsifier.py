@@ -3,6 +3,7 @@
 import importlib
 
 import numpy as np
+import pytest
 
 from repro.comm import SimulatedBackend
 from repro.sparsifiers import DEFTSparsifier
@@ -76,10 +77,16 @@ class TestSelection:
             assert idx.min() >= 0 and idx.max() < small_layout.total_size
 
     def test_standalone_mode_without_coordinate(self, small_layout, small_acc):
+        """Without the round plan of its iteration, select refuses: it never
+        builds an allocation from whichever rank happens to call first."""
         sparsifier = DEFTSparsifier(0.1)
         sparsifier.setup(small_layout, 3)
-        result = sparsifier.select(0, 1, small_acc)
-        assert result.k_selected > 0
+        with pytest.raises(RuntimeError, match="coordinate"):
+            sparsifier.select(0, 1, small_acc)
+        sparsifier.coordinate(0, [small_acc] * 3)
+        with pytest.raises(RuntimeError, match="coordinate"):
+            sparsifier.select(1, 1, small_acc)
+        assert sparsifier.select(0, 1, small_acc).k_selected > 0
 
     def test_selection_prefers_high_norm_layers(self, small_layout):
         """A layer given a 10x larger gradient magnitude must receive a larger
@@ -91,6 +98,7 @@ class TestSelection:
         flat[loud] = rng.standard_normal(loud.stop - loud.start) * 1.0
         sparsifier = DEFTSparsifier(0.05)
         sparsifier.setup(small_layout, 1)
+        sparsifier.coordinate(0, [flat])
         result = sparsifier.select(0, 0, flat)
         idx = result.indices
         loud_count = ((idx >= loud.start) & (idx < loud.stop)).sum()
@@ -101,13 +109,14 @@ class TestSelection:
         sparsifier = DEFTSparsifier(0.1)
         sparsifier.setup(small_layout, 4)
         accs = make_accs(small_layout, 4)
-        sparsifier.coordinate(0, accs)
-        allocated = sorted(i for items in sparsifier._allocation for i in items)
+        plan = sparsifier.coordinate(0, accs)
+        allocated = sorted(i for items in plan.allocation for i in items)
         assert allocated == list(range(len(sparsifier.partitions)))
 
     def test_info_contains_partition_metadata(self, small_layout, small_acc):
         sparsifier = DEFTSparsifier(0.05)
         sparsifier.setup(small_layout, 2)
+        sparsifier.coordinate(0, [small_acc] * 2)
         result = sparsifier.select(0, 0, small_acc)
         assert result.info["n_partitions"] == len(sparsifier.partitions)
         assert result.info["allocation_policy"] == "bin_packing"
@@ -135,22 +144,23 @@ class TestCoordinate:
         sparsifier = DEFTSparsifier(0.1)
         sparsifier.setup(small_layout, n_workers)
         accs = make_accs(small_layout, n_workers, scale=1.0)
-        sparsifier.coordinate(0, accs)
-        alloc0 = [list(items) for items in sparsifier._allocation]
-        sparsifier.coordinate(1, accs)
-        alloc1 = [list(items) for items in sparsifier._allocation]
-        # They may coincide, but the delegate must differ.
-        assert sparsifier.delegate_of(0) != sparsifier.delegate_of(1)
-        assert alloc0 is not None and alloc1 is not None
+        plan0 = sparsifier.coordinate(0, accs)
+        plan1 = sparsifier.coordinate(1, accs)
+        # They may coincide, but the delegate must differ, and each plan is
+        # built from its own delegate's accumulator.
+        assert (plan0.root, plan1.root) == (0, 1)
+        assert plan0.allocation == sparsifier.compute_allocation(accs[0])
+        assert plan1.allocation == sparsifier.compute_allocation(accs[1])
 
     def test_cached_allocation_reused_within_iteration(self, small_layout):
         sparsifier = DEFTSparsifier(0.1)
         sparsifier.setup(small_layout, 2)
         accs = make_accs(small_layout, 2)
-        sparsifier.coordinate(5, accs)
-        cached = sparsifier._allocation
-        sparsifier.select(5, 0, accs[0])
-        assert sparsifier._allocation is cached
+        plan = sparsifier.coordinate(5, accs)
+        for rank in range(2):
+            result = sparsifier.select(5, rank, accs[rank])
+            assert result.info["n_allocated_layers"] == len(plan.allocation[rank])
+        assert sparsifier.plan is plan
 
 
 class TestAblations:
@@ -193,8 +203,10 @@ class TestAblations:
         uniform = DEFTSparsifier(0.05, norm_proportional_k=False)
         norm_aware.setup(small_layout, 1)
         uniform.setup(small_layout, 1)
-        ks_norm = norm_aware._assign_k(flat)
-        ks_uniform = uniform._assign_k(flat)
+        ks_norm = norm_aware.coordinate(0, [flat]).ks
+        uniform_plan = uniform.coordinate(0, [flat])
+        ks_uniform = uniform_plan.ks
+        assert uniform_plan.shared_ks
         assert not np.array_equal(ks_norm, ks_uniform)
         # The loud layer gets more budget under the norm-aware rule.
         assert ks_norm[0] >= ks_uniform[0]
@@ -203,14 +215,17 @@ class TestAblations:
 class TestRobustNorms:
     """--robust-norms: median-of-norms k assignment in the coordinate phase."""
 
-    def test_shared_norms_computed_and_gathered(self, small_layout):
+    def test_median_norms_computed_and_gathered(self, small_layout):
         sparsifier = DEFTSparsifier(0.05, robust_norms=True)
         sparsifier.setup(small_layout, 4)
         backend = SimulatedBackend(4)
         accs = make_accs(small_layout, 4)
-        sparsifier.coordinate(0, accs, backend)
-        assert sparsifier._shared_norms is not None
-        assert sparsifier._shared_norms.shape == (len(sparsifier.partitions),)
+        plan = sparsifier.coordinate(0, accs, backend)
+        median = np.median([layer_norms(acc, sparsifier.partitions) for acc in accs], axis=0)
+        assert plan.shared_ks
+        np.testing.assert_array_equal(
+            plan.ks, assign_local_k(sparsifier.partitions, median, sparsifier.global_k)
+        )
         assert backend.meter.call_count(tag="deft-norms") == 1
 
     def test_byzantine_delegate_cannot_grab_budget(self, small_layout):
@@ -225,8 +240,7 @@ class TestRobustNorms:
 
         def k_in_inflated_layer(sparsifier):
             sparsifier.setup(small_layout, n_workers)
-            sparsifier.coordinate(3, accs, SimulatedBackend(n_workers))
-            ks = sparsifier._assign_k(accs[3], 3)
+            ks = sparsifier.coordinate(3, accs, SimulatedBackend(n_workers)).ks
             end = small_layout.offsets[0] + small_layout.sizes[0]
             return sum(
                 int(k) for k, p in zip(ks, sparsifier.partitions) if p.start < end
@@ -257,26 +271,34 @@ class TestRobustNorms:
         sparsifier = DEFTSparsifier(0.05, robust_norms=True)
         sparsifier.setup(small_layout, 4)
         accs = make_accs(small_layout, 4)
-        sparsifier.coordinate(0, accs, SimulatedBackend(4))
-        ks = [sparsifier._assign_k(accs[rank], 0) for rank in range(4)]
-        for other in ks[1:]:
-            np.testing.assert_array_equal(ks[0], other)
+        plan = sparsifier.coordinate(0, accs, SimulatedBackend(4))
+        assert plan.shared_ks
+        for rank in range(4):
+            picks = sparsifier.select(0, rank, accs[rank]).indices
+            for x in plan.allocation[rank]:
+                part = sparsifier.partitions[x]
+                inside = (picks >= part.start) & (picks < part.end)
+                assert int(inside.sum()) == plan.ks[x]
 
     def test_off_by_default_and_standalone_fallback(self, small_layout, small_acc):
         sparsifier = DEFTSparsifier(0.05)
         assert sparsifier.robust_norms is False
         robust = DEFTSparsifier(0.05, robust_norms=True)
         robust.setup(small_layout, 4)
-        # Standalone select without coordinate still works (local norms).
-        result = robust.select(0, 0, small_acc)
-        assert result.k_selected > 0
+        # Standalone use is a plan over the caller's accumulator alone: the
+        # median of one norm row is that row (local norms).
+        plan = robust.coordinate(0, [small_acc])
+        local = assign_local_k(robust.partitions, layer_norms(small_acc, robust.partitions), robust.global_k)
+        np.testing.assert_array_equal(plan.ks, local)
+        assert robust.select(0, 0, small_acc).k_selected > 0
 
 
 class TestNormReuse:
     """One per-partition norm pass per rank and iteration.
 
     ``coordinate`` computes the delegate's norm vector for the allocation and
-    keeps it for the delegate's own ``select``; nothing else may read it.
+    puts the ``ks`` Algorithm 3 assigns from it into the round plan; the
+    delegate's ``select`` reads them, every other rank runs its own pass.
     """
 
     @staticmethod
@@ -317,7 +339,8 @@ class TestNormReuse:
 
     def test_rank_sharing_the_delegates_buffer_computes_its_own(self, small_layout, monkeypatch):
         """Ranks 1 and 3 pass the same buffer (as the select_scale benchmark
-        does): only the delegate, rank 1, may read the kept vector, once."""
+        does): rank 3 still runs its own pass, and only the delegate, rank 1,
+        reads the plan's ``ks`` -- as often as it selects."""
         sparsifier = self._setup(small_layout)
         a, b = make_accs(small_layout, 2)
         passes, _ = self._record(monkeypatch)
@@ -325,31 +348,32 @@ class TestNormReuse:
         sparsifier.select(1, 3, b)
         assert len(passes) == 2
         sparsifier.select(1, 1, b)
-        assert len(passes) == 2
         sparsifier.select(1, 1, b)
-        assert len(passes) == 3
+        assert len(passes) == 2
 
     def test_other_iteration_or_buffer_recomputes(self, small_layout, monkeypatch):
+        """A rank other than the delegate runs its pass on whatever buffer it
+        is handed.  The delegate's ``select`` reads the plan's ``ks`` for any
+        buffer: a louder copy selects with the norms ``coordinate`` saw."""
         sparsifier = self._setup(small_layout)
         accs = make_accs(small_layout, 4)
         passes, assigned = self._record(monkeypatch)
-        sparsifier.coordinate(1, accs, SimulatedBackend(4))
+        plan = sparsifier.coordinate(1, accs, SimulatedBackend(4))
         louder = accs[1] * 2.0
-        sparsifier.select(1, 1, louder)
+        result = sparsifier.select(1, 1, louder)
+        assert len(passes) == 1
+        expected, _, _ = layerwise_select(louder, sparsifier.partitions, plan.ks, plan.allocation[1])
+        assert set(result.indices.tolist()) == set(expected.tolist())
+        sparsifier.select(1, 0, louder)
         assert len(passes) == 2
         np.testing.assert_array_equal(assigned[-1], layer_norms(louder, sparsifier.partitions))
-        # The trainer updates accumulators in place between iterations.
-        # Iteration 2 has no allocation yet: allocation_for computes rank 1's
-        # norms of the new contents (one pass) and select reads those, never
-        # the vector iteration 1 kept for the same buffer.
-        accs[1] *= 3.0
-        before = len(assigned)
-        sparsifier.select(2, 1, accs[1])
+        # The trainer updates accumulators in place between iterations; the
+        # next round's plan is built from the new contents, never from the
+        # vector the last round saw in the same buffer.
+        accs[2] *= 3.0
+        sparsifier.coordinate(2, accs, SimulatedBackend(4))
         assert len(passes) == 3
-        assert len(assigned) == before + 2
-        fresh = layer_norms(accs[1], sparsifier.partitions)
-        for norms in assigned[before:]:
-            np.testing.assert_array_equal(norms, fresh)
+        np.testing.assert_array_equal(assigned[-1], layer_norms(accs[2], sparsifier.partitions))
 
     def test_standalone_select_is_one_pass_and_unchanged(self, small_layout, small_acc, monkeypatch):
         sparsifier = self._setup(small_layout)
@@ -360,6 +384,8 @@ class TestNormReuse:
         allocation = reference.compute_allocation(small_acc)
         expected, _, _ = layerwise_select(small_acc, reference.partitions, ks, allocation[2])
         passes, _ = self._record(monkeypatch)
+        # Standalone use: the caller names itself the root of a one-rank view.
+        sparsifier.coordinate(0, [small_acc], root=2, ranks=[2])
         result = sparsifier.select(0, 2, small_acc)
         assert len(passes) == 1
         assert set(result.indices.tolist()) == set(expected.tolist())
@@ -368,9 +394,9 @@ class TestNormReuse:
         sparsifier = self._setup(small_layout, robust_norms=True)
         accs = make_accs(small_layout, 4)
         rows = np.stack([layer_norms(acc, sparsifier.partitions) for acc in accs])
-        passes, _ = self._record(monkeypatch)
+        passes, assigned = self._record(monkeypatch)
         sparsifier.coordinate(0, accs, SimulatedBackend(4))
         for rank in range(4):
             sparsifier.select(0, rank, accs[rank])
         assert len(passes) == 4
-        np.testing.assert_array_equal(sparsifier._shared_norms, np.median(rows, axis=0))
+        np.testing.assert_array_equal(assigned[-1], np.median(rows, axis=0))

@@ -18,6 +18,7 @@ from repro.execution import (
     load_flat_parameters,
 )
 from repro.sparsifiers import build_sparsifier
+from repro.utils.topk_ops import topk_indices
 from repro.api import RunSpec
 from repro.training.trainer import DistributedTrainer
 
@@ -312,8 +313,9 @@ class TestAsyncBSP:
         sparsifier = build("deft", 0.05, robust_norms=True)
         trainer = DistributedTrainer(smoke_lm_task, sparsifier, config)
         trainer.train()
-        assert sparsifier._shared_norms is not None
-        assert sparsifier._shared_norms_iteration is not None
+        plan = sparsifier.plan
+        assert plan is not None and plan.iteration == trainer.iteration - 1
+        assert plan.shared_ks and plan.ks is not None
 
     def test_server_traffic_metered(self, smoke_lm_task):
         trainer, _ = run_with(smoke_lm_task, "async_bsp", iterations=3)
@@ -329,6 +331,49 @@ class TestAsyncBSP:
         np.testing.assert_array_equal(
             a.logger.series("loss").values, b.logger.series("loss").values
         )
+
+
+class TestRoundPlanWithoutCollectives:
+    """CLT-k and gTop-k under the schedules without a collective phase: the
+    schedule builds each round's plan, and every rank sends it."""
+
+    @pytest.mark.parametrize("execution", ["gossip", "async_bsp"])
+    @pytest.mark.parametrize("name", ["cltk", "gtopk"])
+    def test_every_rank_sends_the_round_plan(self, smoke_lm_task, execution, name):
+        config = RunSpec.from_flat(
+            n_workers=4, batch_size=8, epochs=1, lr=0.2, seed=0,
+            max_iterations_per_epoch=6, evaluate_each_epoch=False, execution=execution,
+        ).resolve()
+        sparsifier = build_sparsifier(name, 0.05)
+        rounds = {}
+        select = sparsifier.select
+
+        def recording_select(iteration, rank, acc):
+            result = select(iteration, rank, acc)
+            rounds.setdefault(iteration, []).append(
+                (rank, np.array(acc), set(result.indices.tolist()), sparsifier.plan.root)
+            )
+            return result
+
+        sparsifier.select = recording_select
+        DistributedTrainer(smoke_lm_task, sparsifier, config).train()
+        assert len(rounds) >= 6
+        for iteration, group in rounds.items():
+            ranks = [rank for rank, _, _, _ in group]
+            accs = [acc for _, acc, _, _ in group]
+            # The root is the first rank to select: rank 0 under gossip, the
+            # first arrival under async_bsp.
+            assert {root for _, _, _, root in group} == {ranks[0]}
+            if execution == "gossip":
+                assert ranks == [0, 1, 2, 3]
+            if name == "cltk":
+                expected = set(topk_indices(accs[0], sparsifier.global_k).tolist())
+            else:
+                reference = build_sparsifier("gtopk", 0.05)
+                reference.setup(sparsifier.layout, 4)
+                expected = set(reference.coordinate(iteration, accs).indices.tolist())
+            for _, _, picked, _ in group:
+                assert picked == expected
 
 
 class TestElastic:

@@ -53,7 +53,7 @@ class TestCLTK:
         sparsifier.setup(small_layout, 4)
         assert [sparsifier.leader_of(i) for i in range(6)] == [0, 1, 2, 3, 0, 1]
 
-    def test_all_workers_get_leader_indices(self, small_layout, rng):
+    def test_all_workers_get_the_leaders_indices(self, small_layout, rng):
         sparsifier = CLTKSparsifier(0.1)
         sparsifier.setup(small_layout, 3)
         accs = [rng.standard_normal(small_layout.total_size) for _ in range(3)]
@@ -101,11 +101,23 @@ class TestCLTK:
         with pytest.raises(RuntimeError):
             sparsifier.select(0, 1, small_acc)
 
-    def test_leader_standalone_fallback(self, small_layout, small_acc):
+    def test_leader_without_a_plan_raises(self, small_layout, small_acc):
         sparsifier = CLTKSparsifier(0.1)
         sparsifier.setup(small_layout, 4)
-        result = sparsifier.select(0, 0, small_acc)  # rank 0 is the leader of iteration 0
-        assert result.k_selected == sparsifier.global_k
+        with pytest.raises(RuntimeError, match="coordinate"):
+            sparsifier.select(0, 0, small_acc)  # rank 0 is the leader of iteration 0
+        sparsifier.coordinate(0, [small_acc] * 4)
+        assert sparsifier.select(0, 0, small_acc).k_selected == sparsifier.global_k
+
+    def test_named_root_leads(self, small_layout, rng):
+        """A schedule may name the leader; ``ranks`` maps a partial group."""
+        sparsifier = CLTKSparsifier(0.1)
+        sparsifier.setup(small_layout, 4)
+        accs = [rng.standard_normal(small_layout.total_size) for _ in range(2)]
+        plan = sparsifier.coordinate(1, accs, root=3, ranks=[2, 3])
+        assert plan.root == 3
+        assert set(plan.indices.tolist()) == set(topk_indices(accs[1], sparsifier.global_k).tolist())
+        assert sparsifier.select(1, 3, accs[1]).info["is_leader"]
 
 
 class TestHardThreshold:

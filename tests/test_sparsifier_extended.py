@@ -143,12 +143,15 @@ class TestGlobalTopK:
         sparsifier.coordinate(0, accs, backend)
         assert backend.meter.call_count(op="allgather", tag="gtopk-candidates") == 1
 
-    def test_standalone_fallback(self, small_layout, small_acc):
+    def test_select_without_a_plan_raises(self, small_layout, small_acc):
         sparsifier = GlobalTopKSparsifier(0.05)
         sparsifier.setup(small_layout, 2)
-        result = sparsifier.select(0, 0, small_acc)
+        with pytest.raises(RuntimeError, match="coordinate"):
+            sparsifier.select(0, 0, small_acc)
+        # A one-accumulator plan is that accumulator's own top-k.
+        sparsifier.coordinate(0, [small_acc])
         expected = set(topk_indices(small_acc, sparsifier.global_k).tolist())
-        assert set(result.indices.tolist()) == expected
+        assert set(sparsifier.select(0, 0, small_acc).indices.tolist()) == expected
 
     def test_no_buildup_metadata(self):
         sparsifier = GlobalTopKSparsifier(0.1)
