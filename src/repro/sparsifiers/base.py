@@ -180,9 +180,14 @@ class Sparsifier:
         return int(iteration) % self.n_workers
 
     def _root_view(
-        self, iteration: int, acc_per_worker: Sequence[np.ndarray], root, ranks
+        self,
+        iteration: int,
+        acc_per_worker: Sequence[np.ndarray],
+        root: Optional[int],
+        ranks: Optional[Sequence[int]],
     ) -> Tuple[int, np.ndarray]:
-        """The plan's root rank and its flat accumulator."""
+        """The plan's root rank and its flat accumulator (``ranks[i]`` is the
+        rank of ``acc_per_worker[i]``; default: ``i``)."""
         root = self.root_of(iteration) if root is None else int(root)
         position = root if ranks is None else list(ranks).index(root)
         return root, np.asarray(acc_per_worker[position]).reshape(-1)
